@@ -312,12 +312,15 @@ class ArtifactCache:
             return
         # Per-process temp name + atomic rename, so concurrent pool workers
         # writing the same key never observe a partially written archive.
+        # Uncompressed: float factors barely shrink under zlib, and the
+        # compression would dominate the write (older compressed entries
+        # still load through the same ``np.load``).
         tmp = path.parent / f"{path.stem}.{os.getpid()}.tmp.npz"
         try:
             if maybe_fire("cache.write_error") is not None:
                 raise OSError(f"injected cache.write_error ({kind})")
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(tmp, artifact=value)
+            np.savez(tmp, artifact=value)
             tmp.replace(path)
         except OSError:
             # A failed write only costs the next process a recompute; the

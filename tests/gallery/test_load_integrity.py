@@ -1,4 +1,4 @@
-"""Integrity-digest tamper detection in :meth:`ReferenceGallery.load`.
+"""Integrity-digest tamper detection and archive format in gallery persistence.
 
 The persisted archive is covered by a digest over *every* array plus the fit
 parameters; these tests corrupt persisted state in ways a bit-flip, a partial
@@ -8,6 +8,7 @@ poisoned arrays.
 """
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
+from repro.service import GalleryRegistry
 
 
 @pytest.fixture()
@@ -84,3 +86,84 @@ class TestTamperDetection:
         gallery, directory = saved_gallery
         loaded = ReferenceGallery.load(directory, cache=ArtifactCache())
         assert loaded.fingerprint == gallery.fingerprint
+
+
+def _zip_compression(archive):
+    with zipfile.ZipFile(archive) as handle:
+        return {info.compress_type for info in handle.infolist()}
+
+
+class TestArchiveFormat:
+    """Archives are written uncompressed; earlier compressed ones still load."""
+
+    def test_save_writes_an_uncompressed_archive(self, saved_gallery):
+        _, directory = saved_gallery
+        assert _zip_compression(directory / "gallery.npz") == {zipfile.ZIP_STORED}
+
+    def test_compressed_archive_in_the_old_layout_loads(self, saved_gallery):
+        gallery, directory = saved_gallery
+        archive = directory / "gallery.npz"
+        with np.load(archive) as data:
+            arrays = {key: data[key] for key in data.files}
+        np.savez_compressed(archive, **arrays)
+        assert _zip_compression(archive) == {zipfile.ZIP_DEFLATED}
+        loaded = ReferenceGallery.load(directory, cache=ArtifactCache())
+        assert loaded.fingerprint == gallery.fingerprint
+        assert np.array_equal(loaded.signatures_, gallery.signatures_)
+        assert np.array_equal(
+            loaded.selector_.selected_indices_, gallery.selector_.selected_indices_
+        )
+
+    def test_either_writer_gives_identical_digests(
+        self, saved_gallery, tmp_path, monkeypatch
+    ):
+        # Both digests hash arrays, never file bytes, so the writer is free.
+        gallery, directory = saved_gallery
+        monkeypatch.setattr(np, "savez", np.savez_compressed)
+        compressed = gallery.save(tmp_path / "compressed")
+        assert _zip_compression(compressed / "gallery.npz") == {zipfile.ZIP_DEFLATED}
+        plain_meta = json.loads((directory / "gallery.json").read_text())
+        old_meta = json.loads((compressed / "gallery.json").read_text())
+        assert old_meta["integrity"] == plain_meta["integrity"]
+        assert old_meta["fingerprint"] == plain_meta["fingerprint"]
+        ReferenceGallery.load(compressed, cache=ArtifactCache())
+
+
+class TestCrashSafeSave:
+    def test_failed_array_write_keeps_the_previous_state_loadable(
+        self, saved_gallery, small_hcp, monkeypatch
+    ):
+        gallery, directory = saved_gallery
+        before = {
+            name: (directory / name).read_bytes()
+            for name in ("gallery.npz", "gallery.json")
+        }
+        gallery.enroll(small_hcp.generate_session("REST", encoding="RL", day=2)[:1])
+
+        def partial_savez(handle, **arrays):
+            handle.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", partial_savez)
+        with pytest.raises(OSError, match="disk full"):
+            gallery.save(directory)
+        monkeypatch.undo()
+
+        assert sorted(path.name for path in directory.iterdir()) == [
+            "gallery.json", "gallery.npz",
+        ]
+        for name, content in before.items():
+            assert (directory / name).read_bytes() == content
+        loaded = ReferenceGallery.load(directory, cache=ArtifactCache())
+        assert loaded.n_subjects == gallery.n_subjects - 1
+
+    def test_registry_ignores_leftover_temp_files(self, saved_gallery, tmp_path):
+        # A save killed before its first rename leaves only temp files; the
+        # registry recognises a gallery by its gallery.json alone.
+        _, directory = saved_gallery
+        stray = tmp_path / "stray"
+        stray.mkdir()
+        (stray / ".gallery.npz.1.2.tmp").write_bytes(b"partial")
+        (stray / ".gallery.json.1.2.tmp").write_bytes(b"{")
+        registry = GalleryRegistry(root=tmp_path, cache=ArtifactCache())
+        assert registry.names() == [directory.name]

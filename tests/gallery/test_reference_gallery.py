@@ -256,6 +256,47 @@ class TestEnrollment:
         assert loaded.enroll(reference_scans) == 0
         assert loaded.refit_count_ == 0
 
+    def test_enroll_and_persist_hash_each_state_once(
+        self, sessions, tmp_path, monkeypatch
+    ):
+        # One real append plus a save digests the grown reference once per
+        # distinct key: leverage, svd u + s, gallery (also the fingerprint),
+        # and the archive integrity digest; group_matrix hashes the new scan.
+        reference_scans, _ = sessions
+        gallery = ReferenceGallery.from_scans(
+            reference_scans[:10], n_features=60, cache=ArtifactCache()
+        )
+        kinds = []
+        key = ArtifactCache.key
+
+        def counting_key(self, kind, *parts, **params):
+            kinds.append(kind)
+            return key(self, kind, *parts, **params)
+
+        monkeypatch.setattr(ArtifactCache, "key", counting_key)
+        assert gallery.enroll(reference_scans[10:11]) == 1
+        gallery.save(tmp_path / "gal")
+        assert sorted(kinds) == sorted(
+            ["group_matrix", "leverage", "svd", "svd", "gallery", "gallery-archive"]
+        )
+        assert gallery.refit_count_ == 2
+        assert gallery.enroll(reference_scans[11:]) == 1
+        assert gallery.refit_count_ == 3
+        assert gallery.enroll(reference_scans[10:]) == 0
+        assert gallery.refit_count_ == 3
+
+    def test_fingerprint_after_enroll_matches_a_fresh_fit(self, sessions):
+        reference_scans, _ = sessions
+        grown = ReferenceGallery.from_scans(
+            reference_scans[:10], n_features=60, cache=ArtifactCache()
+        )
+        grown.enroll(reference_scans[10:])
+        fresh = ReferenceGallery.from_scans(
+            reference_scans, n_features=60, cache=ArtifactCache()
+        )
+        assert grown.fingerprint == fresh.fingerprint
+        assert np.array_equal(grown.signatures_, fresh.signatures_)
+
 
 class TestIntrospection:
     def test_info_reports_state_and_cache_kinds(self, rest_pair):

@@ -124,6 +124,19 @@ class TestDiskTier:
         second = ArtifactCache(cache_dir=tmp_path)
         np.testing.assert_array_equal(second.get("leverage", "k1"), np.full(3, 2.0))
 
+    def test_entry_from_the_compressed_writer_is_still_a_disk_hit(self, tmp_path):
+        # The tier writes np.savez; entries in the earlier np.savez_compressed
+        # format must keep serving the same bytes.
+        value = np.linspace(0.0, 1.0, 64).reshape(8, 8)
+        path = tmp_path / "svd" / "old-key.npz"
+        path.parent.mkdir()
+        np.savez_compressed(path, artifact=value)
+        cache = ArtifactCache(cache_dir=tmp_path)
+        restored = cache.get("svd", "old-key")
+        assert restored.tobytes() == value.tobytes()
+        assert restored.dtype == value.dtype and restored.shape == value.shape
+        assert cache.stats("svd").disk_hits == 1
+
     def test_non_array_values_stay_memory_only(self, tmp_path):
         cache = ArtifactCache(cache_dir=tmp_path)
         cache.put("meta", "k", {"accuracy": 0.9})
