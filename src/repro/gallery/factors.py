@@ -152,9 +152,9 @@ def leverage_cache_key(
 ) -> str:
     """Content key of the leverage-score vector for ``data``.
 
-    Exposed so :class:`~repro.gallery.reference.ReferenceGallery` can detect
-    whether enrollment actually changed the fitted state (same key = the
-    cached scores are still the right ones, no re-fit needed).
+    Exposed so :meth:`ReferenceGallery.load
+    <repro.gallery.reference.ReferenceGallery.load>` can prime the cache
+    with an archive's exactly fitted scores.
     """
     seed = _stable_seed(random_state)
     params = _factor_params(rank, method, seed if seed is not _UNSTABLE else None)

@@ -14,8 +14,9 @@ service's core object:
   the batched runtime (a cache hit for repeated probes) and matches against
   the stored signatures, optionally sharded across an
   :class:`~repro.runtime.runner.ExperimentRunner` pool.
-* **Grow** — :meth:`enroll` appends new subjects and re-fits the leverage
-  scores only when something was actually appended.
+* **Grow** — :meth:`enroll` appends new subjects and updates the leverage
+  scores by Gram–Schmidt when the resulting selection is certified equal to
+  a full fit's, and re-fits otherwise (see :meth:`enroll`).
 * **Persist** — :meth:`save`/:meth:`load` round-trip the fitted state through
   a directory, so a service restart costs a file read, not an SVD.
 """
@@ -45,7 +46,7 @@ from repro.gallery.factors import (
 )
 from repro.gallery.index import DEFAULT_INDEX_RANK, PruningIndex
 from repro.gallery.matching import match_against_gallery, normalize_columns
-from repro.linalg.leverage import PrincipalFeaturesSubspace
+from repro.linalg.leverage import IncrementalLeverage, PrincipalFeaturesSubspace
 from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import ArtifactCache, get_default_cache
 from repro.utils.rng import RandomStateLike
@@ -129,8 +130,12 @@ class ReferenceGallery:
     signatures_:
         ``(n_features, n_subjects)`` reduced reference matrix (the gallery).
     refit_count_:
-        How many times the leverage fit actually ran for this object
-        (enrollments that change nothing do not bump it).
+        How many times the fitted state changed for this object: full fits
+        and incremental enrolls alike (enrollments that change nothing do
+        not bump it).
+    incremental_enrolls_ / fit_fallbacks_:
+        Enrolls served by the certified incremental update, and enrolls
+        that tried it but ran the full fit instead.
     index_:
         The fitted :class:`~repro.gallery.index.PruningIndex`, or ``None``
         when no index tier was requested.
@@ -180,6 +185,10 @@ class ReferenceGallery:
         self.metadata: Dict[str, Any] = dict(metadata) if metadata else {}
         self.reference = reference
         self.refit_count_ = 0
+        self.incremental_enrolls_ = 0
+        self.fit_fallbacks_ = 0
+        self._incremental: Optional[IncrementalLeverage] = None
+        self._scores_incremental = False
         self.selector_: Optional[PrincipalFeaturesSubspace] = None
         self.signatures_: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
@@ -258,17 +267,30 @@ class ReferenceGallery:
             random_state=self.random_state,
             cache=self.cache,
         )
-        self.selector_ = selector
         key = self._gallery_key(data)
         if self._cacheable:
-            self.signatures_ = self.cache.get_or_compute(
+            signatures = self.cache.get_or_compute(
                 "gallery",
                 key,
                 lambda: np.ascontiguousarray(data[selector.selected_indices_, :]),
             )
         else:
-            self.signatures_ = np.ascontiguousarray(data[selector.selected_indices_, :])
+            signatures = np.ascontiguousarray(data[selector.selected_indices_, :])
+        self._install(selector, signatures, key, incremental=None)
+
+    def _install(
+        self,
+        selector: PrincipalFeaturesSubspace,
+        signatures: np.ndarray,
+        key: str,
+        incremental: Optional[IncrementalLeverage],
+    ) -> None:
+        """Swap in a newly fitted state; ``incremental`` is its update state, if any."""
+        self.selector_ = selector
+        self.signatures_ = signatures
         self._fingerprint = key
+        self._incremental = incremental
+        self._scores_incremental = incremental is not None
         self.refit_count_ += 1
         # Any refit invalidates a previously fitted pruning index: the
         # signature matrix (and therefore the sketch) changed.  Rebuild it
@@ -389,9 +411,20 @@ class ReferenceGallery:
 
         Scans whose ``(subject_id, task, session)`` identity is already
         enrolled are skipped, so re-submitting a session is a no-op.  Any real
-        append changes the reference content, so the leverage scores are
-        re-fitted (rank-aware, through the cache — re-enrolling a previously
-        seen cohort state is a pure cache hit).
+        append changes the reference content and therefore the fitted state.
+
+        For ``rank=None`` exact fits the leverage scores are updated instead
+        of refitted: each new column's orthonormalized residual adds its
+        squares to the scores (:class:`~repro.linalg.leverage.IncrementalLeverage`;
+        the basis is built at the first enroll after a full fit or a load
+        and lives only in memory).  The update is kept only when the top
+        ``n_features + 1`` scores are certified to be in the same order as a
+        full fit's, so the selection, signatures, fingerprint and identify
+        output equal a full fit's bit for bit; the scores themselves may
+        differ from the SVD's in the low bits, within the recorded bound.
+        A dependent column, an ill-conditioned basis or an uncertain order
+        runs the full fit and counts a ``fit_fallbacks_``.  Rank-``k`` and
+        randomized galleries always run the full fit.
         """
         scans = list(scans)
         enrolled = set(self._scan_keys())
@@ -410,16 +443,49 @@ class ReferenceGallery:
                 "enrolled scans must share the gallery's connectome feature space, "
                 f"got {addition.n_features} and {self.reference.n_features} features"
             )
+        previous = self.reference.data
         merged = GroupMatrix(
-            data=np.hstack([self.reference.data, addition.data]),
+            data=np.hstack([previous, addition.data]),
             subject_ids=self.reference.subject_ids + addition.subject_ids,
             tasks=self._merged_labels(self.reference.tasks, addition.tasks),
             sessions=self._merged_labels(self.reference.sessions, addition.sessions),
         )
         self.reference = merged
         self._fingerprint = None
-        self._fit()
+        if not self._fit_incremental(previous, addition.data):
+            self._fit()
         return len(new_scans)
+
+    def _fit_incremental(self, previous: np.ndarray, added: np.ndarray) -> bool:
+        """Certified leverage update for the appended columns ``added``.
+
+        Returns ``False`` (and leaves the fitted state alone) when the full
+        fit must run instead.
+        """
+        if self.rank is not None or self.method != "exact":
+            return False
+        state = self._incremental
+        if state is None:
+            state = IncrementalLeverage.fit(previous)
+        if state is not None:
+            state = state.append(added)
+        order = None if state is None else state.certified_order(self.n_features)
+        if order is None:
+            self.fit_fallbacks_ += 1
+            return False
+        data = self.reference.data
+        selector = PrincipalFeaturesSubspace(
+            n_features=self.n_features,
+            rank=self.rank,
+            method=self.method,
+            random_state=self.random_state,
+        )
+        selector.scores_ = state.scores
+        selector.selected_indices_ = order
+        signatures = np.ascontiguousarray(data[order, :])
+        self._install(selector, signatures, self._gallery_key(data), incremental=state)
+        self.incremental_enrolls_ += 1
+        return True
 
     def _scan_keys(self) -> List[tuple]:
         tasks = self.reference.tasks or [""] * self.reference.n_scans
@@ -476,7 +542,7 @@ class ReferenceGallery:
         Memoized at fit/load time: serving paths key per-request artifacts
         on the fingerprint, and re-hashing megabytes of reference data per
         request would dominate a warm identify.  Every mutation of the
-        fitted state (``_fit``, including enroll-driven refits) refreshes
+        fitted state (full fits and incremental enrolls alike) refreshes
         the memo.
         """
         if self._fingerprint is None:
@@ -490,6 +556,7 @@ class ReferenceGallery:
         selected_indices: np.ndarray,
         scores: np.ndarray,
         index_arrays: Optional[Sequence[np.ndarray]] = None,
+        incremental_scores: bool = False,
     ) -> str:
         """Digest over *every* persisted array plus the fit parameters.
 
@@ -497,11 +564,13 @@ class ReferenceGallery:
         also covers the derived arrays (signatures, indices, scores, and
         the pruning-index arrays when one is persisted), so a corrupted or
         tampered archive cannot load silently.  Archives without an index
-        hash exactly as before, keeping pre-index archives loadable.
+        or the incremental-scores marker hash exactly as before, keeping
+        older archives loadable.
         """
         parts = [reference, signatures, selected_indices, scores]
         if index_arrays is not None:
             parts.extend(index_arrays)
+        marker = {"scores": "incremental"} if incremental_scores else {}
         return self.cache.key(
             "gallery-archive",
             *parts,
@@ -509,6 +578,7 @@ class ReferenceGallery:
             rank=-1 if self.rank is None else int(self.rank),
             method=str(self.method),
             seed=self._seed_for_key(),
+            **marker,
         )
 
     def save(self, directory: PathLike) -> Path:
@@ -520,6 +590,10 @@ class ReferenceGallery:
         previous archive loadable.  Between the two renames the new arrays
         sit beside the old ``gallery.json``; :meth:`load` rejects that pair
         through the integrity digest until the next save completes.
+
+        Archives whose leverage scores came from an incremental enroll carry
+        ``"incremental_scores": true`` (also covered by the digest), so
+        :meth:`load` never primes them under the exact ``leverage`` key.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -565,9 +639,12 @@ class ReferenceGallery:
                 self.selector_.selected_indices_,
                 self.selector_.scores_,
                 index_arrays=index_arrays,
+                incremental_scores=self._scores_incremental,
             ),
             "metadata": self.metadata,
         }
+        if self._scores_incremental:
+            meta["incremental_scores"] = True
         _write_replacing(directory / _ARRAYS_FILE, lambda f: np.savez(f, **arrays))
         _write_replacing(
             directory / _META_FILE, lambda f: f.write(json.dumps(meta, indent=2).encode())
@@ -586,9 +663,10 @@ class ReferenceGallery:
         """Load a saved gallery without re-fitting anything.
 
         The cached artifacts (leverage scores, signatures) are primed back
-        into ``cache``, so a later :meth:`enroll` or a second gallery over
-        the same cohort starts warm.  ``shard_size`` overrides the persisted
-        value when given.
+        into ``cache``, so a second gallery over the same cohort starts
+        warm; scores saved by an incremental enroll are not primed, since
+        they may differ from the SVD's in the low bits.  ``shard_size``
+        overrides the persisted value when given.
         """
         directory = Path(directory)
         meta_path = directory / _META_FILE
@@ -654,6 +732,10 @@ class ReferenceGallery:
         gallery.selector_ = selector
         gallery.signatures_ = signatures
         gallery.refit_count_ = 0
+        gallery.incremental_enrolls_ = 0
+        gallery.fit_fallbacks_ = 0
+        gallery._incremental = None
+        gallery._scores_incremental = bool(meta.get("incremental_scores", False))
         gallery._fingerprint = None
         gallery.index_ = None
         gallery.index_rank = None
@@ -662,6 +744,7 @@ class ReferenceGallery:
         integrity = gallery._integrity_digest(
             reference_data, signatures, selected_indices, leverage_scores_arr,
             index_arrays=index_arrays,
+            incremental_scores=gallery._scores_incremental,
         )
         if meta.get("integrity") != integrity:
             raise ValidationError(
@@ -687,12 +770,13 @@ class ReferenceGallery:
         # without an integer seed) must not be primed: their keys cannot
         # distinguish one draw from another.
         if gallery._cacheable:
-            leverage_key = leverage_cache_key(
-                gallery.cache, reference_data, rank=gallery.rank,
-                method=gallery.method, random_state=gallery.random_state,
-            )
-            if gallery.cache.get("leverage", leverage_key) is None:
-                gallery.cache.put("leverage", leverage_key, leverage_scores_arr)
+            if not gallery._scores_incremental:
+                leverage_key = leverage_cache_key(
+                    gallery.cache, reference_data, rank=gallery.rank,
+                    method=gallery.method, random_state=gallery.random_state,
+                )
+                if gallery.cache.get("leverage", leverage_key) is None:
+                    gallery.cache.put("leverage", leverage_key, leverage_scores_arr)
             if gallery.cache.get("gallery", fingerprint) is None:
                 gallery.cache.put("gallery", fingerprint, signatures)
         return gallery
@@ -717,6 +801,8 @@ class ReferenceGallery:
             "shard_size": self.shard_size,
             "backend": self.backend,
             "refit_count": self.refit_count_,
+            "incremental_enrolls": self.incremental_enrolls_,
+            "fit_fallbacks": self.fit_fallbacks_,
             "fingerprint": self.fingerprint,
             "index": None if self.index_ is None else self.index_.describe(),
             "cache": {

@@ -188,3 +188,119 @@ class PrincipalFeaturesSubspace:
         """Leverage scores of the retained features (descending)."""
         self._check_fitted()
         return self.scores_[self.selected_indices_]
+
+
+#: CholeskyQR2 stays accurate only while its first pass loses little
+#: orthogonality (about eps times the squared condition number); a matrix
+#: worse conditioned than this gets no incremental basis.
+MAX_BASIS_CONDITION = 1e6
+#: A column whose residual against the basis is at most this share of its
+#: norm counts as dependent: the SVD's rank filter decides what happens then.
+DEPENDENT_RESIDUAL = 1e-8
+#: Scores from this update and from the SVD may each be off by the bound, so
+#: two scores keep their order in both when they are more than 4 bounds apart.
+CERTIFICATE_MARGIN = 4.0
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@dataclass(frozen=True, eq=False)
+class IncrementalLeverage:
+    """Full-column-space leverage scores kept current as columns are appended.
+
+    For ``rank=None`` the leverage scores are the diagonal of the projector
+    onto the column space, so appending a column adds the squares of its
+    orthonormalized residual (Brand 2006, "Fast low-rank modifications of the
+    thin singular value decomposition").  ``bound`` is a first-order bound on
+    ``max|scores - exact scores|``; every appended column grows it.  Instances
+    are never mutated: :meth:`append` returns a new one.
+
+    Attributes
+    ----------
+    basis:
+        ``(n_rows, n_columns)`` orthonormal basis of the column space.
+    scores:
+        Squared row norms of ``basis``.
+    bound:
+        The score-error bound.
+    """
+
+    basis: np.ndarray
+    scores: np.ndarray
+    bound: float
+
+    @classmethod
+    def fit(cls, matrix: np.ndarray) -> Optional["IncrementalLeverage"]:
+        """Orthonormalize the columns of ``matrix`` by CholeskyQR2.
+
+        Two passes, each a Gram product, a Cholesky factorization and a
+        product with the inverse factor.  Returns ``None`` when the Gram
+        matrix is singular or its columns are worse conditioned than
+        :data:`MAX_BASIS_CONDITION`.  The starting bound counts every column
+        as if it had been appended with the worst residual the condition
+        number allows.
+        """
+        a = check_matrix(matrix, name="matrix")
+        gram = a.T @ a
+        eigenvalues = np.linalg.eigvalsh(gram)
+        if not eigenvalues[0] > eigenvalues[-1] / MAX_BASIS_CONDITION**2:
+            return None
+        condition = float(np.sqrt(eigenvalues[-1] / eigenvalues[0]))
+        basis = a
+        try:
+            for _ in range(2):
+                # basis @ inv(L).T with gram = L @ L.T.  An explicit inverse
+                # keeps every BLAS call in numpy's OpenBLAS: scipy links a
+                # second one, and alternating their thread pools is slower.
+                basis = basis @ np.linalg.inv(np.linalg.cholesky(gram)).T
+                gram = basis.T @ basis
+        except np.linalg.LinAlgError:
+            return None
+        n_rows, n_columns = a.shape
+        return cls(
+            basis=basis,
+            scores=np.einsum("ij,ij->i", basis, basis),
+            bound=_EPS * (n_rows + n_columns) * n_columns * condition,
+        )
+
+    def append(self, columns: np.ndarray) -> Optional["IncrementalLeverage"]:
+        """The state after appending ``columns``; ``None`` if one is dependent.
+
+        Each column is orthogonalized against the basis twice (one
+        reorthogonalization pass).  The bound grows by the measured loss of
+        orthogonality of the new direction and by the rounding error of the
+        residual relative to its length, which is large when the column
+        nearly lies in the basis's span.
+        """
+        columns = np.asarray(columns, dtype=np.float64)
+        n_rows, width = self.basis.shape
+        basis = np.empty((n_rows, width + columns.shape[1]), order="F")
+        basis[:, :width] = self.basis
+        scores, bound = self.scores, self.bound
+        for offset, column in enumerate(columns.T):
+            m = width + offset
+            previous = basis[:, :m]
+            residual = column - previous @ (previous.T @ column)
+            residual -= previous @ (previous.T @ residual)
+            length, size = float(np.linalg.norm(residual)), float(np.linalg.norm(column))
+            if not length > DEPENDENT_RESIDUAL * size:
+                return None
+            q = residual / length
+            loss = float(np.abs(previous.T @ q).max(initial=0.0))
+            bound += m * loss + _EPS * (n_rows + m) * size / length
+            scores = scores + q * q
+            basis[:, m] = q
+        return IncrementalLeverage(basis=basis, scores=scores, bound=bound)
+
+    def certified_order(self, n_features: int) -> Optional[np.ndarray]:
+        """The top ``n_features`` rows by score, or ``None`` if the order is uncertain.
+
+        The order is certified when every consecutive gap among the top
+        ``n_features + 1`` scores exceeds :data:`CERTIFICATE_MARGIN` bounds;
+        the exact SVD's ``argsort`` selection is then this one, in the same
+        order.  Exact ties are never certified.
+        """
+        order = np.argsort(self.scores)[::-1]
+        top = self.scores[order[: n_features + 1]]
+        if not np.all(top[:-1] - top[1:] > CERTIFICATE_MARGIN * self.bound):
+            return None
+        return order[:n_features]
