@@ -1,16 +1,26 @@
 """Cached SVD factors and leverage scores for the gallery subsystem.
 
 Fitting the Principal Features Subspace is the expensive part of the attack:
-one economy (or randomized) SVD of the reference group matrix.  These helpers
-compute exactly the same factors as :mod:`repro.linalg.leverage` but route
-them through a content-keyed :class:`~repro.runtime.cache.ArtifactCache`
-under the reserved ``svd`` and ``leverage`` kinds, so refitting the same
-reference data — in another pipeline, another worker sharing the disk tier,
-or another session — is a cache hit instead of a factorization.
+one factorization of the reference group matrix.  For the default
+``rank=None`` exact fit, :func:`fit_principal_features_cached` computes the
+leverage scores by the certified Gram route
+(:class:`~repro.linalg.leverage.IncrementalLeverage`: one Cholesky pass with
+a measured error bound) and runs the economy SVD only when that route cannot
+certify the top-``n_features`` order.  Gram-route scores are never cached:
+recomputing them costs little more than hashing the data for a key.
 
-The numerical results are bit-identical to the uncached paths: the same SVD
-routine runs on the same matrix, and the leverage scores are the same row
-norms of the same basis.
+SVD results go through a content-keyed
+:class:`~repro.runtime.cache.ArtifactCache` under the reserved ``svd`` and
+``leverage`` kinds, so refitting the same reference data — in another
+pipeline, another worker sharing the disk tier, or another session — is a
+cache hit instead of a factorization.
+
+Rank-``k`` and randomized results are bit-identical to the uncached paths:
+the same SVD routine runs on the same matrix, and the leverage scores are
+the same row norms of the same basis.  ``rank=None`` fits are
+selection-identical: the selected indices and their order equal
+``PrincipalFeaturesSubspace(...).fit``'s, while the scores may differ from
+the SVD's in the low bits, within the recorded ``scores_bound_``.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.linalg.leverage import (
+    IncrementalLeverage,
     PrincipalFeaturesSubspace,
     leverage_scores,
     rank_k_leverage_scores,
@@ -154,7 +165,7 @@ def leverage_cache_key(
 
     Exposed so :meth:`ReferenceGallery.load
     <repro.gallery.reference.ReferenceGallery.load>` can prime the cache
-    with an archive's exactly fitted scores.
+    with a rank-``k`` or seeded randomized archive's scores.
     """
     seed = _stable_seed(random_state)
     params = _factor_params(rank, method, seed if seed is not _UNSTABLE else None)
@@ -167,15 +178,40 @@ def cached_leverage_scores(
     method: str = "exact",
     random_state: RandomStateLike = None,
     cache: Optional[ArtifactCache] = None,
-) -> np.ndarray:
+    n_features: Optional[int] = None,
+):
     """Row leverage scores of ``data``, served from the ``leverage`` kind.
 
     Identical to :func:`repro.linalg.leverage.leverage_scores` (``rank=None``)
     or :func:`~repro.linalg.leverage.rank_k_leverage_scores` otherwise, but a
     repeat call with the same content is a cache hit, and a miss reuses any
     cached ``svd`` factors instead of refactorizing.
+
+    With ``n_features`` (``rank=None`` exact fits only) the Gram-route kernel
+    runs first and the result is the pair ``(scores, bound)``: the kernel's
+    scores and bound when they certify the top-``n_features`` order, with no
+    cache key, lookup or put; otherwise the SVD's scores as above and
+    ``None``.
     """
     a = check_matrix(data, name="data")
+    if n_features is None:
+        return _svd_leverage_scores(a, rank, method, random_state, cache)
+    if rank is not None or method != "exact":
+        raise ValidationError("n_features applies to rank=None exact fits only")
+    state = IncrementalLeverage.fit(a)
+    if state is not None and state.certified_order(n_features) is not None:
+        return state.scores, state.bound
+    return _svd_leverage_scores(a, None, method, random_state, cache), None
+
+
+def _svd_leverage_scores(
+    a: np.ndarray,
+    rank: Optional[int],
+    method: str,
+    random_state: RandomStateLike,
+    cache: Optional[ArtifactCache],
+) -> np.ndarray:
+    """The SVD-backed body of :func:`cached_leverage_scores`."""
     if cache is None or not cacheable_fit(rank, method, random_state):
         if rank is None:
             return leverage_scores(a)
@@ -205,10 +241,13 @@ def fit_principal_features_cached(
     """A fitted :class:`PrincipalFeaturesSubspace` built from cached scores.
 
     Equivalent to ``PrincipalFeaturesSubspace(...).fit(data)`` — the same
-    scores, the same ``argsort`` tie-breaking, the same selected indices —
-    but the leverage scores (and the SVD behind them) come from the cache, so
-    two selectors with different ``n_features`` over the same data share one
-    factorization.
+    selected indices in the same order.  With a cache, ``rank=None`` exact
+    fits take their scores from the certified Gram route and record its
+    bound in ``scores_bound_``; when the route cannot certify, they take the
+    SVD's scores and leave ``scores_bound_`` as ``None``.  Rank-``k`` and
+    randomized fits get the same scores and ``argsort`` tie-breaking as the
+    direct fit, from the cache, so two selectors with different
+    ``n_features`` over the same data share one factorization.
     """
     a = check_matrix(data, name="data")
     n_features = check_positive_int(n_features, name="n_features")
@@ -221,9 +260,14 @@ def fit_principal_features_cached(
     )
     if cache is None:
         return selector.fit(a)
-    scores = cached_leverage_scores(
-        a, rank=rank, method=method, random_state=random_state, cache=cache
-    )
+    if rank is None and method == "exact":
+        scores, selector.scores_bound_ = cached_leverage_scores(
+            a, cache=cache, n_features=n_features
+        )
+    else:
+        scores = cached_leverage_scores(
+            a, rank=rank, method=method, random_state=random_state, cache=cache
+        )
     selector.scores_ = scores
     selector.selected_indices_ = np.argsort(scores)[::-1][:n_features]
     return selector

@@ -6,10 +6,12 @@ reference cohort, many probe batches.  :class:`ReferenceGallery` is that
 service's core object:
 
 * **Fit once** — the Principal Features Subspace is fitted on the reference
-  group matrix through the content-keyed artifact cache
-  (:mod:`repro.gallery.factors`), so the SVD factors (``svd`` kind), leverage
-  scores (``leverage`` kind), and the reduced signature matrix (``gallery``
-  kind) are computed once and persist through the cache's disk tier.
+  group matrix through :mod:`repro.gallery.factors`: ``rank=None`` exact
+  fits take their leverage scores from the certified Gram route and fall
+  back to the SVD; rank-``k`` and randomized fits (and SVD fallbacks) go
+  through the content-keyed ``svd`` and ``leverage`` kinds.  The reduced
+  signature matrix (``gallery`` kind) is computed once and persists through
+  the cache's disk tier.
 * **Identify many** — :meth:`identify` builds the probe group matrix through
   the batched runtime (a cache hit for repeated probes) and matches against
   the stored signatures, optionally sharded across an
@@ -134,8 +136,9 @@ class ReferenceGallery:
         and incremental enrolls alike (enrollments that change nothing do
         not bump it).
     incremental_enrolls_ / fit_fallbacks_:
-        Enrolls served by the certified incremental update, and enrolls
-        that tried it but ran the full fit instead.
+        Enrolls served by the certified incremental update, and ``rank=None``
+        exact fits that ran the SVD because the Gram route could not
+        certify their selection.
     index_:
         The fitted :class:`~repro.gallery.index.PruningIndex`, or ``None``
         when no index tier was requested.
@@ -183,12 +186,10 @@ class ReferenceGallery:
         self.runner = runner
         self.backend = backend
         self.metadata: Dict[str, Any] = dict(metadata) if metadata else {}
-        self.reference = reference
         self.refit_count_ = 0
         self.incremental_enrolls_ = 0
         self.fit_fallbacks_ = 0
         self._incremental: Optional[IncrementalLeverage] = None
-        self._scores_incremental = False
         self.selector_: Optional[PrincipalFeaturesSubspace] = None
         self.signatures_: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
@@ -199,7 +200,7 @@ class ReferenceGallery:
         self.index_rank = None if index_rank is None else int(index_rank)
         self.index_top_c = None if index_top_c is None else int(index_top_c)
         self.index_: Optional[PruningIndex] = None
-        self._fit()
+        self._fit(reference)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -250,15 +251,17 @@ class ReferenceGallery:
     # ------------------------------------------------------------------ #
     # Fitting
     # ------------------------------------------------------------------ #
-    def _fit(self) -> None:
-        """(Re-)fit the selector and signature matrix through the cache.
+    def _fit(self, reference: GroupMatrix) -> None:
+        """Fit the selector and signature matrix of ``reference`` and install both.
 
-        Fits whose results cannot be content-keyed (randomized SVD driven by
-        a generator object) bypass the ``gallery`` cache entirely — a shared
-        key would otherwise serve one draw's signatures to another draw's
-        selected indices.
+        ``rank=None`` exact fits take the certified Gram route; when it
+        cannot certify the selection the SVD runs instead and
+        ``fit_fallbacks_`` counts it.  Fits whose results cannot be
+        content-keyed (randomized SVD driven by a generator object) bypass
+        the ``gallery`` cache entirely — a shared key would otherwise serve
+        one draw's signatures to another draw's selected indices.
         """
-        data = self.reference.data
+        data = reference.data
         selector = fit_principal_features_cached(
             data,
             n_features=self.n_features,
@@ -276,42 +279,52 @@ class ReferenceGallery:
             )
         else:
             signatures = np.ascontiguousarray(data[selector.selected_indices_, :])
-        self._install(selector, signatures, key, incremental=None)
+        self._install(reference, selector, signatures, key, incremental=None)
+        if self.rank is None and self.method == "exact" and selector.scores_bound_ is None:
+            self.fit_fallbacks_ += 1
 
     def _install(
         self,
+        reference: GroupMatrix,
         selector: PrincipalFeaturesSubspace,
         signatures: np.ndarray,
         key: str,
         incremental: Optional[IncrementalLeverage],
     ) -> None:
-        """Swap in a newly fitted state; ``incremental`` is its update state, if any."""
+        """Swap in ``reference`` with its newly fitted state, all or nothing.
+
+        ``incremental`` is the state's update basis, if any.  Any refit
+        invalidates a previously fitted pruning index (the signature matrix,
+        and therefore the sketch, changed), so it is rebuilt here, before
+        anything is assigned: a stale index can never be observed, and a
+        failure leaves the previous state whole.
+        """
+        index = None
+        if self.index_rank is not None or self.index_ is not None:
+            index = self._build_index(signatures, key)
+        self.reference = reference
         self.selector_ = selector
         self.signatures_ = signatures
         self._fingerprint = key
         self._incremental = incremental
-        self._scores_incremental = incremental is not None
+        self._gram_scores = selector.scores_bound_ is not None
+        self.index_ = index
         self.refit_count_ += 1
-        # Any refit invalidates a previously fitted pruning index: the
-        # signature matrix (and therefore the sketch) changed.  Rebuild it
-        # here rather than lazily, so a stale index can never be observed.
-        if self.index_rank is not None or self.index_ is not None:
-            self._fit_index()
 
-    def _fit_index(self) -> None:
-        """(Re-)fit the pruning index over the current signature matrix."""
+    def _build_index(self, signatures: np.ndarray, fingerprint: str) -> PruningIndex:
+        """A pruning index over ``signatures`` (the gallery's index parameters)."""
         rank = self.index_rank
         if rank is None:
             rank = (
                 self.index_.rank if self.index_ is not None else DEFAULT_INDEX_RANK
             )
-        normalized, _ = normalize_columns(self.signatures_)
-        self.index_ = PruningIndex.fit(
+        normalized, _ = normalize_columns(signatures)
+        return PruningIndex.fit(
             normalized,
             rank=rank,
             top_c=self.index_top_c,
             cache=self.cache if self._cacheable else None,
-            fingerprint=self.fingerprint,
+            fingerprint=fingerprint,
         )
 
     def ensure_index(
@@ -342,7 +355,7 @@ class ReferenceGallery:
             )
         )
         if stale:
-            self._fit_index()
+            self.index_ = self._build_index(self.signatures_, self.fingerprint)
         return self.index_
 
     @property
@@ -416,15 +429,19 @@ class ReferenceGallery:
         For ``rank=None`` exact fits the leverage scores are updated instead
         of refitted: each new column's orthonormalized residual adds its
         squares to the scores (:class:`~repro.linalg.leverage.IncrementalLeverage`;
-        the basis is built at the first enroll after a full fit or a load
-        and lives only in memory).  The update is kept only when the top
-        ``n_features + 1`` scores are certified to be in the same order as a
-        full fit's, so the selection, signatures, fingerprint and identify
-        output equal a full fit's bit for bit; the scores themselves may
-        differ from the SVD's in the low bits, within the recorded bound.
-        A dependent column, an ill-conditioned basis or an uncertain order
-        runs the full fit and counts a ``fit_fallbacks_``.  Rank-``k`` and
-        randomized galleries always run the full fit.
+        the basis is built by the Gram-route kernel at the first enroll
+        after a full fit or a load and lives only in memory).  The update is
+        kept only when the top ``n_features + 1`` scores are certified to be
+        in the same order as a full fit's, so the selection, signatures,
+        fingerprint and identify output equal a full fit's bit for bit; the
+        scores themselves may differ from the SVD's in the low bits, within
+        the recorded bound.  A dependent column, a failed basis or an
+        uncertain order runs the full fit (the Gram route first, then the
+        SVD).  Rank-``k`` and randomized galleries always run the full fit.
+
+        The enroll is atomic: the grown reference is installed together with
+        its fitted state, so a fit that raises leaves the gallery exactly as
+        it was, and the same scans can be enrolled again.
         """
         scans = list(scans)
         enrolled = set(self._scan_keys())
@@ -443,20 +460,17 @@ class ReferenceGallery:
                 "enrolled scans must share the gallery's connectome feature space, "
                 f"got {addition.n_features} and {self.reference.n_features} features"
             )
-        previous = self.reference.data
         merged = GroupMatrix(
-            data=np.hstack([previous, addition.data]),
+            data=np.hstack([self.reference.data, addition.data]),
             subject_ids=self.reference.subject_ids + addition.subject_ids,
             tasks=self._merged_labels(self.reference.tasks, addition.tasks),
             sessions=self._merged_labels(self.reference.sessions, addition.sessions),
         )
-        self.reference = merged
-        self._fingerprint = None
-        if not self._fit_incremental(previous, addition.data):
-            self._fit()
+        if not self._fit_incremental(merged, addition.data):
+            self._fit(merged)
         return len(new_scans)
 
-    def _fit_incremental(self, previous: np.ndarray, added: np.ndarray) -> bool:
+    def _fit_incremental(self, merged: GroupMatrix, added: np.ndarray) -> bool:
         """Certified leverage update for the appended columns ``added``.
 
         Returns ``False`` (and leaves the fitted state alone) when the full
@@ -466,24 +480,24 @@ class ReferenceGallery:
             return False
         state = self._incremental
         if state is None:
-            state = IncrementalLeverage.fit(previous)
+            state = IncrementalLeverage.fit(self.reference.data)
         if state is not None:
             state = state.append(added)
         order = None if state is None else state.certified_order(self.n_features)
         if order is None:
-            self.fit_fallbacks_ += 1
             return False
-        data = self.reference.data
+        data = merged.data
         selector = PrincipalFeaturesSubspace(
             n_features=self.n_features,
             rank=self.rank,
             method=self.method,
             random_state=self.random_state,
+            scores_=state.scores,
+            selected_indices_=order,
+            scores_bound_=state.bound,
         )
-        selector.scores_ = state.scores
-        selector.selected_indices_ = order
         signatures = np.ascontiguousarray(data[order, :])
-        self._install(selector, signatures, self._gallery_key(data), incremental=state)
+        self._install(merged, selector, signatures, self._gallery_key(data), incremental=state)
         self.incremental_enrolls_ += 1
         return True
 
@@ -586,14 +600,17 @@ class ReferenceGallery:
 
         Arrays are stored uncompressed (zlib saves ~4% on float64 at ~20x
         the write cost).  Both files go through a temporary name and a
-        rename, arrays first, so a kill or error mid-write leaves the
-        previous archive loadable.  Between the two renames the new arrays
-        sit beside the old ``gallery.json``; :meth:`load` rejects that pair
-        through the integrity digest until the next save completes.
+        rename, arrays first, so an error mid-write leaves the previous
+        archive loadable.  Between the two renames the new arrays sit beside
+        the old ``gallery.json``, and :meth:`load` rejects that pair through
+        the integrity digest.  A later save by a surviving writer heals it.
+        If the writer dies between the renames, no process holds the state
+        any more and the directory cannot be loaded to save it again: a
+        process death can break an archive (a known gap).
 
-        Archives whose leverage scores came from an incremental enroll carry
-        ``"incremental_scores": true`` (also covered by the digest), so
-        :meth:`load` never primes them under the exact ``leverage`` key.
+        Archives whose leverage scores did not come from the SVD (a Gram-route
+        fit or an incremental enroll) carry ``"incremental_scores": true``,
+        also covered by the digest.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -639,11 +656,11 @@ class ReferenceGallery:
                 self.selector_.selected_indices_,
                 self.selector_.scores_,
                 index_arrays=index_arrays,
-                incremental_scores=self._scores_incremental,
+                incremental_scores=self._gram_scores,
             ),
             "metadata": self.metadata,
         }
-        if self._scores_incremental:
+        if self._gram_scores:
             meta["incremental_scores"] = True
         _write_replacing(directory / _ARRAYS_FILE, lambda f: np.savez(f, **arrays))
         _write_replacing(
@@ -662,11 +679,11 @@ class ReferenceGallery:
     ) -> "ReferenceGallery":
         """Load a saved gallery without re-fitting anything.
 
-        The cached artifacts (leverage scores, signatures) are primed back
-        into ``cache``, so a second gallery over the same cohort starts
-        warm; scores saved by an incremental enroll are not primed, since
-        they may differ from the SVD's in the low bits.  ``shard_size``
-        overrides the persisted value when given.
+        The signatures are primed back into ``cache`` (``gallery`` kind), so
+        a second gallery over the same cohort starts warm; so are the
+        leverage scores of rank-``k`` and seeded randomized archives.
+        ``rank=None`` scores are never primed: no fit looks them up.
+        ``shard_size`` overrides the persisted value when given.
         """
         directory = Path(directory)
         meta_path = directory / _META_FILE
@@ -735,7 +752,7 @@ class ReferenceGallery:
         gallery.incremental_enrolls_ = 0
         gallery.fit_fallbacks_ = 0
         gallery._incremental = None
-        gallery._scores_incremental = bool(meta.get("incremental_scores", False))
+        gallery._gram_scores = bool(meta.get("incremental_scores", False))
         gallery._fingerprint = None
         gallery.index_ = None
         gallery.index_rank = None
@@ -744,7 +761,7 @@ class ReferenceGallery:
         integrity = gallery._integrity_digest(
             reference_data, signatures, selected_indices, leverage_scores_arr,
             index_arrays=index_arrays,
-            incremental_scores=gallery._scores_incremental,
+            incremental_scores=gallery._gram_scores,
         )
         if meta.get("integrity") != integrity:
             raise ValidationError(
@@ -770,7 +787,7 @@ class ReferenceGallery:
         # without an integer seed) must not be primed: their keys cannot
         # distinguish one draw from another.
         if gallery._cacheable:
-            if not gallery._scores_incremental:
+            if gallery.rank is not None:
                 leverage_key = leverage_cache_key(
                     gallery.cache, reference_data, rank=gallery.rank,
                     method=gallery.method, random_state=gallery.random_state,

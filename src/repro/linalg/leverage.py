@@ -135,6 +135,10 @@ class PrincipalFeaturesSubspace:
         Leverage score of every feature (set after :meth:`fit`).
     selected_indices_:
         Indices of the retained features, most important first.
+    scores_bound_:
+        Bound on ``|scores_ - SVD scores|`` when the scores came from the
+        certified Gram route (:class:`IncrementalLeverage`) rather than the
+        SVD; ``None`` when no such bound was recorded, as after :meth:`fit`.
     """
 
     n_features: int
@@ -143,6 +147,7 @@ class PrincipalFeaturesSubspace:
     random_state: RandomStateLike = None
     scores_: Optional[np.ndarray] = field(default=None, repr=False)
     selected_indices_: Optional[np.ndarray] = field(default=None, repr=False)
+    scores_bound_: Optional[float] = field(default=None, repr=False)
 
     def fit(self, matrix: np.ndarray) -> "PrincipalFeaturesSubspace":
         """Compute leverage scores of ``matrix`` and choose the top features."""
@@ -190,10 +195,12 @@ class PrincipalFeaturesSubspace:
         return self.scores_[self.selected_indices_]
 
 
-#: CholeskyQR2 stays accurate only while its first pass loses little
-#: orthogonality (about eps times the squared condition number); a matrix
-#: worse conditioned than this gets no incremental basis.
-MAX_BASIS_CONDITION = 1e6
+#: Beyond this condition number ``fl(AᵀA)`` is no longer safely positive
+#: definite, so a Cholesky factorization that succeeds does so by luck
+#: (Yamamoto et al. 2015), and the SVD's rank filter (singular values below
+#: ``1e-12·σ_max`` count as zero) comes within reach: the Gram route gives
+#: up and the SVD decides.
+MAX_BASIS_CONDITION = float(np.finfo(np.float64).eps) ** -0.5
 #: A column whose residual against the basis is at most this share of its
 #: norm counts as dependent: the SVD's rank filter decides what happens then.
 DEPENDENT_RESIDUAL = 1e-8
@@ -201,6 +208,11 @@ DEPENDENT_RESIDUAL = 1e-8
 #: two scores keep their order in both when they are more than 4 bounds apart.
 CERTIFICATE_MARGIN = 4.0
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _gamma(k: int) -> float:
+    """Relative rounding bound of a length-``k`` dot product."""
+    return k * _EPS / (1.0 - k * _EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +223,9 @@ class IncrementalLeverage:
     onto the column space, so appending a column adds the squares of its
     orthonormalized residual (Brand 2006, "Fast low-rank modifications of the
     thin singular value decomposition").  ``bound`` is a first-order bound on
-    ``max|scores - exact scores|``; every appended column grows it.  Instances
-    are never mutated: :meth:`append` returns a new one.
+    ``max|scores - exact scores|``: measured by :meth:`fit`, then grown by
+    every appended column.  Instances are never mutated: :meth:`append`
+    returns a new one.
 
     Attributes
     ----------
@@ -230,37 +243,81 @@ class IncrementalLeverage:
 
     @classmethod
     def fit(cls, matrix: np.ndarray) -> Optional["IncrementalLeverage"]:
-        """Orthonormalize the columns of ``matrix`` by CholeskyQR2.
+        """Orthonormalize the columns of ``matrix`` in one Cholesky pass, with a measured bound.
 
-        Two passes, each a Gram product, a Cholesky factorization and a
-        product with the inverse factor.  Returns ``None`` when the Gram
-        matrix is singular or its columns are worse conditioned than
-        :data:`MAX_BASIS_CONDITION`.  The starting bound counts every column
-        as if it had been appended with the worst residual the condition
-        number allows.
+        A pass is a Gram product, a Cholesky factorization ``L Lᵀ`` and a
+        product with ``L⁻ᵀ``; one more Gram product then measures the loss
+        of orthogonality.  A second pass runs only when that loss exceeds
+        the rounding of its own measurement, i.e. when another pass can
+        still shrink the bound (CholeskyQR2, Fukaya et al. 2014).  Returns
+        ``None`` for a failed factorization, a non-finite value, ``δ ≥ ½`` or
+        a condition number that may exceed :data:`MAX_BASIS_CONDITION`.
+
+        The bound uses measured quantities only.  Let ``Q`` be the computed
+        basis (rows ``qᵢ``), ``X`` the product of the inverse factors used,
+        and ``γₖ = k·eps/(1 − k·eps)``.  ``A X`` spans the column space of
+        ``A`` exactly, so the exact leverage score ``ℓᵢ`` is the diagonal
+        of the projector ``P̃`` onto the span of ``A X``.  Three terms bound
+        ``|sᵢ − ℓᵢ|`` for the returned ``sᵢ = fl(‖qᵢ‖²)``:
+
+        1. *Orthogonality.*  ``δ`` is the measured ``‖fl(QᵀQ) − I‖_F`` plus
+           the Gram product's own rounding ``γ_F·‖Q‖_F²``, so
+           ``‖QᵀQ − I‖₂ ≤ δ``.  The projector ``P`` onto the span of ``Q``
+           has diagonal ``qᵢᵀ(QᵀQ)⁻¹qᵢ`` and ``‖(QᵀQ)⁻¹ − I‖₂ ≤ δ/(1−δ)``,
+           so ``|Pᵢᵢ − ‖qᵢ‖²| ≤ ‖qᵢ‖²·δ/(1−δ)``.
+        2. *Products.*  ``Q = A X + E``.  ``|fl(BY) − BY| ≤ γₙ|B||Y|``, so
+           each pass ``Q ← fl(B Y)`` adds ``γₙ‖B‖_F‖Y‖_F`` to the bound
+           ``e ≥ ‖E‖_F`` and scales the earlier ``e`` by ``‖Y‖_F``.  Both
+           projectors have rank ``n``, since ``σ_min(A X) ≥ σ_min(Q) − e
+           ≥ √(1−δ) − e > 0`` (checked below), so
+           ``‖P − P̃‖₂ = ‖(I − P̃)P‖₂ = ‖(I − P̃)E Q⁺‖₂ ≤ e/√(1−δ)``, which
+           bounds ``|Pᵢᵢ − ℓᵢ|``.
+        3. *Row sums.*  ``|sᵢ − ‖qᵢ‖²| ≤ γₙ‖qᵢ‖²``.
+
+        With ``s = max sᵢ/(1 − γₙ) ≥ max ‖qᵢ‖²`` the bound is
+        ``s·δ/(1−δ) + e/√(1−δ) + γₙ·s``.  Products of two rounding errors
+        and the rounding of the norms themselves (relative ``O(F·eps)``)
+        are left out, as in any first-order analysis.  The Cholesky
+        factor's own accuracy never enters: only ``Q`` and ``X`` do.
+
+        The condition number is bounded from the same quantities, with no
+        eigenvalue solve: ``σ_min(A)·‖X‖_F ≥ σ_min(A X) ≥ √(1−δ) − e``, so
+        ``κ₂(A) ≤ ‖A‖_F‖X‖_F/(√(1−δ) − e)`` when the denominator is
+        positive.  A rank-deficient matrix (a wide one included) never
+        passes the check.
         """
         a = check_matrix(matrix, name="matrix")
-        gram = a.T @ a
-        eigenvalues = np.linalg.eigvalsh(gram)
-        if not eigenvalues[0] > eigenvalues[-1] / MAX_BASIS_CONDITION**2:
-            return None
-        condition = float(np.sqrt(eigenvalues[-1] / eigenvalues[0]))
-        basis = a
-        try:
-            for _ in range(2):
-                # basis @ inv(L).T with gram = L @ L.T.  An explicit inverse
-                # keeps every BLAS call in numpy's OpenBLAS: scipy links a
-                # second one, and alternating their thread pools is slower.
-                basis = basis @ np.linalg.inv(np.linalg.cholesky(gram)).T
-                gram = basis.T @ basis
-        except np.linalg.LinAlgError:
-            return None
         n_rows, n_columns = a.shape
-        return cls(
-            basis=basis,
-            scores=np.einsum("ij,ij->i", basis, basis),
-            bound=_EPS * (n_rows + n_columns) * n_columns * condition,
-        )
+        gamma_n = _gamma(n_columns)
+        basis, gram, error, scale = a, a.T @ a, 0.0, 1.0
+        norm_a = np.sqrt(np.trace(gram))
+        for _ in range(2):
+            try:
+                # An explicit inverse keeps every BLAS call in numpy's
+                # OpenBLAS: scipy links a second one, and alternating their
+                # thread pools is slower.
+                inverse = np.linalg.inv(np.linalg.cholesky(gram)).T
+            except np.linalg.LinAlgError:
+                return None
+            norm = np.linalg.norm(inverse)
+            error = (error + gamma_n * np.sqrt(np.trace(gram))) * norm
+            scale *= norm
+            basis = basis @ inverse
+            gram = basis.T @ basis
+            rounding = _gamma(n_rows) * float(np.trace(gram))
+            loss = float(np.linalg.norm(gram - np.eye(n_columns)))
+            if not loss > rounding:
+                break
+        delta = loss + rounding
+        if not (
+            delta < 0.5
+            and norm_a * scale < MAX_BASIS_CONDITION * (np.sqrt(1.0 - delta) - error)
+        ):
+            return None
+        scores = np.einsum("ij,ij->i", basis, basis)
+        top = float(scores.max()) / (1.0 - gamma_n)
+        bound = top * (delta / (1.0 - delta) + gamma_n) + error / np.sqrt(1.0 - delta)
+        return cls(basis=basis, scores=scores, bound=float(bound))
 
     def append(self, columns: np.ndarray) -> Optional["IncrementalLeverage"]:
         """The state after appending ``columns``; ``None`` if one is dependent.

@@ -83,16 +83,47 @@ class TestCachedLeverageScores:
         with pytest.raises(ValidationError, match="method"):
             cached_svd_factors(tall_matrix, rank=3, method="bogus", cache=ArtifactCache())
 
+    def test_n_features_takes_the_gram_route_without_keys(self, tall_matrix):
+        cache = ArtifactCache()
+        scores, bound = cached_leverage_scores(tall_matrix, cache=cache, n_features=5)
+        assert 0.0 < bound < 1e-10
+        assert np.max(np.abs(scores - leverage_scores(tall_matrix))) <= bound
+        for kind in ("leverage", "svd"):
+            assert cache.stats(kind).lookups == 0
+
+    def test_n_features_falls_back_to_the_svd(self, tall_matrix):
+        # Two equal rows tie exactly, and the selection keeps all rows but
+        # one, so the tie is inside the certified order.
+        tied = np.vstack([tall_matrix[:1], tall_matrix])
+        cache = ArtifactCache()
+        scores, bound = cached_leverage_scores(tied, cache=cache, n_features=tied.shape[0] - 1)
+        assert bound is None
+        assert np.array_equal(scores, leverage_scores(tied))
+        assert cache.stats("leverage").misses == 1
+
+    def test_n_features_rejects_rank_k(self, tall_matrix):
+        with pytest.raises(ValidationError, match="n_features"):
+            cached_leverage_scores(tall_matrix, rank=3, cache=ArtifactCache(), n_features=5)
+
 
 class TestSVDFactorReuse:
     def test_two_selectors_share_one_factorization(self, tall_matrix):
+        # Rank-k fits go through the factor cache; rank=None fits take the
+        # Gram route and key nothing there.
         cache = ArtifactCache()
-        fit_principal_features_cached(tall_matrix, n_features=5, cache=cache)
+        fit_principal_features_cached(tall_matrix, n_features=5, rank=3, cache=cache)
         svd_after_first = cache.stats("svd").misses
-        fit_principal_features_cached(tall_matrix, n_features=9, cache=cache)
+        fit_principal_features_cached(tall_matrix, n_features=9, rank=3, cache=cache)
         # Second fit reuses the leverage scores outright: no new svd misses.
         assert cache.stats("svd").misses == svd_after_first
         assert cache.stats("leverage").hits == 1
+        for n_features in (5, 9):
+            selector = fit_principal_features_cached(
+                tall_matrix, n_features=n_features, cache=cache
+            )
+            assert selector.scores_bound_ is not None
+        assert cache.stats("leverage").lookups == 2
+        assert cache.stats("svd").misses == svd_after_first
 
     def test_factors_survive_the_disk_tier(self, tall_matrix, tmp_path):
         first = ArtifactCache(cache_dir=tmp_path)
@@ -107,11 +138,18 @@ class TestSVDFactorReuse:
 
 class TestFitPrincipalFeaturesCached:
     def test_identical_to_direct_fit(self, tall_matrix):
+        # rank=None fits are selection-identical; their scores are within
+        # the Gram route's bound of the SVD's.  Rank-k fits are bitwise.
         cache = ArtifactCache()
         cached = fit_principal_features_cached(tall_matrix, n_features=7, cache=cache)
         direct = PrincipalFeaturesSubspace(n_features=7).fit(tall_matrix)
         assert np.array_equal(cached.selected_indices_, direct.selected_indices_)
+        assert np.max(np.abs(cached.scores_ - direct.scores_)) <= cached.scores_bound_
+        cached = fit_principal_features_cached(tall_matrix, n_features=7, rank=4, cache=cache)
+        direct = PrincipalFeaturesSubspace(n_features=7, rank=4).fit(tall_matrix)
+        assert np.array_equal(cached.selected_indices_, direct.selected_indices_)
         assert np.array_equal(cached.scores_, direct.scores_)
+        assert cached.scores_bound_ is None
 
     def test_transform_works_on_cached_selector(self, tall_matrix):
         selector = fit_principal_features_cached(

@@ -6,8 +6,24 @@ import pytest
 from repro.attack.deanonymize import LeverageScoreAttack
 from repro.attack.pipeline import AttackPipeline
 from repro.exceptions import AttackError, ValidationError
+from repro.gallery import reference as reference_module
 from repro.gallery.reference import ReferenceGallery
+from repro.linalg.leverage import IncrementalLeverage
+from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import ArtifactCache
+
+
+def _count_keys(monkeypatch):
+    """The kinds of every ``ArtifactCache.key`` call from now on."""
+    kinds = []
+    key = ArtifactCache.key
+
+    def counting_key(self, kind, *parts, **params):
+        kinds.append(kind)
+        return key(self, kind, *parts, **params)
+
+    monkeypatch.setattr(ArtifactCache, "key", counting_key)
+    return kinds
 
 
 @pytest.fixture()
@@ -129,25 +145,29 @@ class TestCacheBehaviour:
         assert stats.hits == hits_after_first + 2
         assert gallery.refit_count_ == 1  # identify never refits
 
-    def test_second_gallery_reuses_the_fit(self, sessions):
+    def test_second_gallery_reuses_the_fit(self, sessions, monkeypatch):
+        # A rank=None fit keys the reference once, under the gallery kind:
+        # the Gram route keys no leverage or svd entry.
         reference_scans, _ = sessions
         cache = ArtifactCache()
-        ReferenceGallery.from_scans(reference_scans, n_features=60, cache=cache)
-        assert cache.stats("leverage").misses == 1
-        ReferenceGallery.from_scans(reference_scans, n_features=60, cache=cache)
-        stats = cache.stats("leverage")
-        assert stats.misses == 1
-        assert stats.hits == 1
+        reference = build_group_matrix_batched(reference_scans, cache=cache)
+        kinds = _count_keys(monkeypatch)
+        first = ReferenceGallery(reference, n_features=60, cache=cache)
+        assert kinds == ["gallery"]
+        ReferenceGallery(reference, n_features=60, cache=cache)
+        assert kinds == ["gallery", "gallery"]
         assert cache.stats("gallery").hits == 1
+        for kind in ("leverage", "svd"):
+            assert cache.stats(kind).lookups == 0
+        assert first.fit_fallbacks_ == 0
 
-    def test_different_n_features_shares_leverage_scores(self, sessions):
+    def test_other_n_features_forks_the_gallery(self, sessions):
         reference_scans, _ = sessions
         cache = ArtifactCache()
         ReferenceGallery.from_scans(reference_scans, n_features=40, cache=cache)
         ReferenceGallery.from_scans(reference_scans, n_features=80, cache=cache)
-        stats = cache.stats("leverage")
-        assert stats.misses == 1
-        assert stats.hits == 1
+        for kind in ("leverage", "svd"):
+            assert cache.stats(kind).lookups == 0
         # The reduced signature matrices differ, so the gallery kind forked.
         assert cache.stats("gallery").misses == 2
 
@@ -168,17 +188,22 @@ class TestPersistence:
         assert loaded.refit_count_ == 0  # loading never refits
         assert loaded.fingerprint == gallery.fingerprint
 
-    def test_loaded_gallery_primes_the_cache(self, sessions, tmp_path):
+    def test_loaded_gallery_primes_the_cache(self, sessions, tmp_path, monkeypatch):
+        # A rank=None load keys the archive digest and the fingerprint only,
+        # and primes the gallery kind, which the next fit over the same
+        # cohort hits.
         reference_scans, _ = sessions
         gallery = ReferenceGallery.from_scans(
             reference_scans, n_features=60, cache=ArtifactCache()
         )
         gallery.save(tmp_path / "gal")
         cache = ArtifactCache()
+        kinds = _count_keys(monkeypatch)
         loaded = ReferenceGallery.load(tmp_path / "gal", cache=cache)
-        # Building a fresh gallery over the same cohort is now a pure hit.
+        assert sorted(kinds) == ["gallery", "gallery-archive"]
         rebuilt = ReferenceGallery(loaded.reference, n_features=60, cache=cache)
-        assert cache.stats("leverage").hits >= 1
+        assert cache.stats("gallery").hits == 1
+        assert cache.stats("leverage").lookups == 0
         assert rebuilt.refit_count_ == 1
         assert np.array_equal(
             rebuilt.selector_.selected_indices_, loaded.selector_.selected_indices_
@@ -267,14 +292,7 @@ class TestEnrollment:
         gallery = ReferenceGallery.from_scans(
             reference_scans[:10], n_features=60, cache=ArtifactCache()
         )
-        kinds = []
-        key = ArtifactCache.key
-
-        def counting_key(self, kind, *parts, **params):
-            kinds.append(kind)
-            return key(self, kind, *parts, **params)
-
-        monkeypatch.setattr(ArtifactCache, "key", counting_key)
+        kinds = _count_keys(monkeypatch)
         assert gallery.enroll(reference_scans[10:11]) == 1
         gallery.save(tmp_path / "gal")
         assert sorted(kinds) == sorted(
@@ -285,6 +303,35 @@ class TestEnrollment:
         assert gallery.refit_count_ == 3
         assert gallery.enroll(reference_scans[10:]) == 0
         assert gallery.refit_count_ == 3
+
+    def test_enroll_is_atomic_when_the_fit_raises(self, sessions, monkeypatch):
+        reference_scans, probe_scans = sessions
+        gallery = ReferenceGallery.from_scans(
+            reference_scans[:10], n_features=60, cache=ArtifactCache()
+        )
+        reference, signatures = gallery.reference, gallery.signatures_
+        fingerprint = gallery.fingerprint
+        before = gallery.identify(probe_scans)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        with monkeypatch.context() as patch:
+            # The incremental update declines, so the full fit runs and raises.
+            patch.setattr(IncrementalLeverage, "append", lambda self, columns: None)
+            patch.setattr(reference_module, "fit_principal_features_cached", failing)
+            with pytest.raises(np.linalg.LinAlgError):
+                gallery.enroll(reference_scans[10:11])
+        assert gallery.reference is reference
+        assert gallery.signatures_ is signatures
+        assert gallery.fingerprint == fingerprint
+        assert gallery.refit_count_ == 1
+        after = gallery.identify(probe_scans)
+        assert after.similarity.tobytes() == before.similarity.tobytes()
+        assert after.reference_subject_ids == before.reference_subject_ids
+        assert gallery.enroll(reference_scans[10:11]) == 1
+        assert gallery.n_subjects == 11
+        assert gallery.refit_count_ == 2
 
     def test_fingerprint_after_enroll_matches_a_fresh_fit(self, sessions):
         reference_scans, _ = sessions
