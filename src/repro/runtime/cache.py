@@ -367,7 +367,11 @@ def _hash_part(digest: "hashlib._Hash", part: Any) -> None:
         digest.update(b"\x00array")
         digest.update(str(array.dtype).encode("utf-8"))
         digest.update(str(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
+        # Hash the contiguous buffer in place: ``tobytes()`` would copy it
+        # first, for the same bytes.  Object arrays expose no byte view.
+        digest.update(
+            array.tobytes() if array.dtype.hasobject else array.reshape(-1).view(np.uint8)
+        )
     elif isinstance(part, (bytes, bytearray)):
         digest.update(b"\x00bytes")
         digest.update(bytes(part))

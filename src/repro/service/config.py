@@ -75,7 +75,9 @@ class ServiceConfig:
         How long the async micro-batcher waits for more concurrent requests
         before flushing; ``0.0`` flushes on the next event-loop tick, which
         already coalesces everything submitted concurrently (e.g. via
-        ``asyncio.gather``).
+        ``asyncio.gather``).  The window delays only the first batch of a
+        drain: requests that arrive while a batch computes are served as
+        the next batch with no further wait.
     http_host / http_port:
         Bind address of the HTTP front end
         (:class:`~repro.service.http.HttpServiceServer`); ``http_port=0``

@@ -199,7 +199,8 @@ class IdentificationService:
         Every request awaited concurrently (same event-loop tick, or within
         ``config.batch_window_s``) that targets the same gallery is merged
         into one stacked match — so ``asyncio.gather`` over N requests costs
-        one gallery-wide match, not N.
+        one gallery-wide match, not N.  Requests that arrive while a batch
+        computes are served together as the next batch.
         """
         loop = asyncio.get_running_loop()
         batcher = self._batchers.get(loop)
@@ -465,9 +466,9 @@ class IdentificationService:
                 content = [frozen_array_digest(scan.timeseries) for scan in request.scans]
             else:
                 content = [frozen_array_digest(request.probe.data)]
-            params = {"fisher": gallery.fisher, "fingerprint": gallery.fingerprint}
-            normalized_key = self.cache.key("probe", content, factor="normalized", **params)
-            degenerate_key = self.cache.key("probe", content, factor="degenerate", **params)
+            normalized_key, degenerate_key = _factor_keys(self.cache.key(
+                "probe", content, fisher=gallery.fisher, fingerprint=gallery.fingerprint
+            ))
             normalized = self.cache.get("probe", normalized_key)
             degenerate = self.cache.get("probe", degenerate_key)
 
@@ -509,9 +510,9 @@ class IdentificationService:
         """
         if not gallery._cacheable:
             return normalize_columns(gallery.signatures_)
-        fingerprint = gallery.fingerprint
-        normalized_key = self.cache.key("gallery_norm", fingerprint, factor="normalized")
-        degenerate_key = self.cache.key("gallery_norm", fingerprint, factor="degenerate")
+        normalized_key, degenerate_key = _factor_keys(
+            self.cache.key("gallery_norm", gallery.fingerprint)
+        )
         normalized = self.cache.get("gallery_norm", normalized_key)
         degenerate = self.cache.get("gallery_norm", degenerate_key)
         if normalized is None or degenerate is None:
@@ -519,6 +520,15 @@ class IdentificationService:
             self.cache.put("gallery_norm", normalized_key, normalized)
             self.cache.put("gallery_norm", degenerate_key, degenerate)
         return normalized, np.asarray(degenerate, dtype=bool)
+
+
+def _factor_keys(key: str) -> Tuple[str, str]:
+    """Cache keys of the normalized and degenerate factors of one content key.
+
+    Both factors are pure functions of the same content, so one digest
+    determines both entries; a fixed suffix tells them apart.
+    """
+    return f"{key}-normalized", f"{key}-degenerate"
 
 
 def _stacked_margins(similarity: np.ndarray) -> np.ndarray:
@@ -537,11 +547,17 @@ def _stacked_margins(similarity: np.ndarray) -> np.ndarray:
 class _MicroBatcher:
     """Coalesces concurrently awaited identify requests on one event loop.
 
-    Requests submitted while a flush is pending join its batch; the flush
-    itself runs one event-loop tick (or ``batch_window_s``) after the first
-    submission, groups the drained requests by gallery, and serves each
-    group through :meth:`IdentificationService._identify_batch` in chunks of
-    ``max_batch_size``.
+    Scheduling is single-flight: at most one drain task runs per loop, so at
+    most one batch is inside
+    :meth:`IdentificationService._identify_batch` at a time.  The first
+    submission starts the drain, which waits ``batch_window_s`` once (``0``
+    is one event-loop tick, enough for the rest of an ``asyncio.gather`` to
+    submit) and then loops: it takes the whole backlog, groups it by
+    gallery, and serves each group in chunks of ``max_batch_size``, one
+    executor call at a time.  Requests that arrive while a batch computes
+    accumulate as the next batch, which is served with no further wait —
+    group commit, as in database logging.  The drain exits, and clears its
+    handle, only once the backlog is empty.
 
     The batcher deliberately holds **no** reference to its event loop (it
     resolves ``get_running_loop()`` per call): it lives as a value in the
@@ -552,55 +568,50 @@ class _MicroBatcher:
     def __init__(self, service: IdentificationService):
         self._service = service
         self._pending: List[Tuple[IdentifyRequest, "asyncio.Future[IdentifyResponse]"]] = []
-        self._flush_task: Optional["asyncio.Task[None]"] = None
+        self._drain_task: Optional["asyncio.Task[None]"] = None
 
     async def submit(self, request: IdentifyRequest) -> IdentifyResponse:
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[IdentifyResponse]" = loop.create_future()
         self._pending.append((request, future))
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush_after_window())
+        if self._drain_task is None or self._drain_task.done():
+            self._drain_task = loop.create_task(self._drain())
         return await future
 
-    async def _flush_after_window(self) -> None:
-        window = self._service.config.batch_window_s
-        # sleep(0) yields exactly one loop tick: every coroutine already
-        # scheduled (e.g. the rest of an asyncio.gather) gets to submit
-        # before the flush drains the batch.
-        await asyncio.sleep(window)
-        await self._flush()
+    async def _drain(self) -> None:
+        try:
+            await asyncio.sleep(self._service.config.batch_window_s)
+            # No await between this emptiness check and the handle clear
+            # below: a request submitted after the check finds no drain
+            # running and starts a new one, so none is ever stranded.
+            while self._pending:
+                batch, self._pending = self._pending, []
+                by_gallery: Dict[str, List[Tuple[IdentifyRequest, Any]]] = {}
+                for request, future in batch:
+                    by_gallery.setdefault(request.gallery, []).append((request, future))
+                max_batch = self._service.config.max_batch_size
+                for name, entries in by_gallery.items():
+                    for start in range(0, len(entries), max_batch):
+                        await self._serve(name, entries[start:start + max_batch])
+        finally:
+            self._drain_task = None
 
-    async def _flush(self) -> None:
-        batch = self._pending
-        self._pending = []
-        # Drained: requests submitted while the executor computes this batch
-        # must be able to schedule their own flush, so the task handle is
-        # cleared now, not when this coroutine finishes.
-        self._flush_task = None
-        if not batch:
+    async def _serve(self, name: str, chunk: List[Tuple[IdentifyRequest, Any]]) -> None:
+        try:
+            # The stacked match is CPU-bound; run it off the event loop so
+            # the loop keeps reading frames (the next batch's backlog) while
+            # this batch computes.
+            responses = await asyncio.get_running_loop().run_in_executor(
+                None,
+                self._service._identify_batch,
+                name,
+                [request for request, _ in chunk],
+            )
+        except Exception as exc:  # noqa: BLE001 - delivered through futures
+            for _, future in chunk:
+                if not future.done():
+                    future.set_exception(exc)
             return
-        by_gallery: Dict[str, List[Tuple[IdentifyRequest, Any]]] = {}
-        for request, future in batch:
-            by_gallery.setdefault(request.gallery, []).append((request, future))
-        max_batch = self._service.config.max_batch_size
-        for name, entries in by_gallery.items():
-            for start in range(0, len(entries), max_batch):
-                chunk = entries[start:start + max_batch]
-                try:
-                    # The stacked match is CPU-bound; run it off the event
-                    # loop so other coroutines (heartbeats, unrelated
-                    # requests) keep running while the batch computes.
-                    responses = await asyncio.get_running_loop().run_in_executor(
-                        None,
-                        self._service._identify_batch,
-                        name,
-                        [request for request, _ in chunk],
-                    )
-                except Exception as exc:  # noqa: BLE001 - delivered through futures
-                    for _, future in chunk:
-                        if not future.done():
-                            future.set_exception(exc)
-                    continue
-                for (_, future), response in zip(chunk, responses):
-                    if not future.done():
-                        future.set_result(response)
+        for (_, future), response in zip(chunk, responses):
+            if not future.done():
+                future.set_result(response)

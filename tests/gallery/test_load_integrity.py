@@ -128,6 +128,35 @@ class TestArchiveFormat:
         assert old_meta["fingerprint"] == plain_meta["fingerprint"]
         ReferenceGallery.load(compressed, cache=ArtifactCache())
 
+    def test_archive_digested_by_copying_bytes_still_loads(
+        self, saved_gallery, tmp_path, monkeypatch
+    ):
+        # Arrays were once hashed through ``tobytes()``; an archive whose
+        # digests were made that way must pass today's integrity check.
+        from repro.runtime import cache as cache_module
+
+        gallery, directory = saved_gallery
+        hash_part = cache_module._hash_part
+
+        def copying_hash_part(digest, part):
+            if not isinstance(part, np.ndarray):
+                return hash_part(digest, part)
+            array = np.ascontiguousarray(part)
+            digest.update(b"\x00array")
+            digest.update(str(array.dtype).encode("utf-8"))
+            digest.update(str(array.shape).encode("utf-8"))
+            digest.update(array.tobytes())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "_hash_part", copying_hash_part)
+            old = gallery.save(tmp_path / "copying")
+        old_meta = json.loads((old / "gallery.json").read_text())
+        assert old_meta["integrity"] == json.loads(
+            (directory / "gallery.json").read_text()
+        )["integrity"]
+        loaded = ReferenceGallery.load(old, cache=ArtifactCache())
+        assert loaded.fingerprint == gallery.fingerprint
+
 
 class TestCrashSafeSave:
     def test_failed_array_write_keeps_the_previous_state_loadable(

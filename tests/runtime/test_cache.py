@@ -1,10 +1,17 @@
 """Tests for the content-keyed artifact cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.runtime.cache import ArtifactCache, get_default_cache, set_default_cache
+from repro.runtime.cache import (
+    ArtifactCache,
+    _hash_part,
+    get_default_cache,
+    set_default_cache,
+)
 from repro.runtime.faults import FaultPlan, install_plan
 
 
@@ -33,6 +40,48 @@ class TestKeys:
         cache = ArtifactCache()
         a = np.arange(12.0)
         assert cache.key("x", a.reshape(3, 4)) != cache.key("x", a.reshape(4, 3))
+
+
+def _copying_array_digest(array):
+    """The array digest as first defined: tag, dtype, shape, ``tobytes()``."""
+    contiguous = np.ascontiguousarray(array)
+    digest = hashlib.sha256()
+    digest.update(b"\x00array")
+    digest.update(str(contiguous.dtype).encode("utf-8"))
+    digest.update(str(contiguous.shape).encode("utf-8"))
+    digest.update(contiguous.tobytes())
+    return digest.hexdigest()
+
+
+class TestArrayDigestBytes:
+    """Hashing the buffer in place feeds sha256 the bytes ``tobytes`` did."""
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.linspace(-1.0, 1.0, 12).reshape(3, 4),
+            np.array([True, False, True]),
+            np.arange(-5, 5, dtype=np.int64),
+            np.array(2.5),
+            np.zeros((0, 3)),
+            np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            np.arange(24.0).reshape(4, 6)[::2, 1::2],
+        ],
+        ids=["float64", "bool", "int64", "0-d", "empty", "fortran", "strided-view"],
+    )
+    def test_digest_matches_the_copying_formula(self, array):
+        digest = hashlib.sha256()
+        _hash_part(digest, array)
+        assert digest.hexdigest() == _copying_array_digest(array)
+
+    def test_golden_key(self):
+        key = ArtifactCache().key(
+            "golden",
+            np.arange(6.0).reshape(2, 3),
+            np.array([True, False]),
+            flag=np.arange(3, dtype=np.int64),
+        )
+        assert key == "3fc1e8cab9ee30f9b49f71336a40a5f3f3b383c94eab675669c4b98595278ba2"
 
 
 class TestLookup:

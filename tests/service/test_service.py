@@ -1,6 +1,8 @@
 """Tests for the identification service: batching, async serving, plumbing."""
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,53 @@ from repro.service import (
 
 def _single_probe_requests(probes, gallery="hcp"):
     return [IdentifyRequest(gallery=gallery, scans=[scan]) for scan in probes]
+
+
+class _BatchProbe:
+    """Stands in for a service's ``_identify_batch`` to observe the batcher.
+
+    It records each batch's size and the most batches ever computing at
+    once.  With ``hold_first`` the first batch blocks until ``release`` is
+    set (``started`` tells the test it is computing); with ``fail_first``
+    it then raises instead of serving.  Later batches sleep ``delay_s`` and
+    serve normally.
+    """
+
+    def __init__(self, service, hold_first=False, fail_first=False, delay_s=0.0):
+        self.started = threading.Event()
+        self.release = threading.Event()
+        self.sizes = []
+        self.max_active = 0
+        self._active = 0
+        self._lock = threading.Lock()
+        self._hold_first = hold_first
+        self._fail_first = fail_first
+        self._delay_s = delay_s
+        self._serve = service._identify_batch
+        service._identify_batch = self
+
+    def __call__(self, name, requests):
+        with self._lock:
+            self._active += 1
+            self.max_active = max(self.max_active, self._active)
+            first = not self.sizes
+            self.sizes.append(len(requests))
+        try:
+            if first and self._hold_first:
+                self.started.set()
+                assert self.release.wait(timeout=30)
+            if first and self._fail_first:
+                raise RuntimeError("injected batch failure")
+            time.sleep(self._delay_s)
+            return self._serve(name, requests)
+        finally:
+            with self._lock:
+                self._active -= 1
+
+
+async def _until(event):
+    while not event.is_set():
+        await asyncio.sleep(0.001)
 
 
 class TestBatchVsSerialEquivalence:
@@ -213,7 +262,7 @@ class TestAsyncServing:
 
     def test_requests_submitted_during_a_flush_are_served(self, service, sessions):
         # A second wave submitted while the first wave's batch is computing
-        # must schedule its own flush instead of hanging on a dead task.
+        # must be taken by the running drain instead of hanging on it.
         _, probes = sessions
 
         async def run():
@@ -231,6 +280,81 @@ class TestAsyncServing:
         responses = asyncio.run(asyncio.wait_for(run(), timeout=30))
         assert all(response.ok for response in responses)
         assert len(responses) == len(probes)
+
+    def test_at_most_one_batch_computes_at_a_time(self, service, sessions):
+        # Arrivals spread over many loop ticks while batches compute: each
+        # would have started its own flush; the single drain serializes them.
+        _, probes = sessions
+        probe = _BatchProbe(service, delay_s=0.02)
+
+        async def run():
+            futures = []
+            for request in _single_probe_requests(probes):
+                futures.append(asyncio.ensure_future(service.identify_async(request)))
+                await asyncio.sleep(0.005)
+            return await asyncio.gather(*futures)
+
+        responses = asyncio.run(asyncio.wait_for(run(), timeout=30))
+        assert all(response.ok for response in responses)
+        assert probe.max_active == 1
+        assert sum(probe.sizes) == len(probes)
+
+    def test_backlog_of_a_computing_batch_is_served_as_one_batch(
+        self, service, registry, sessions
+    ):
+        _, probes = sessions
+        probe = _BatchProbe(service, hold_first=True)
+        gallery = registry.get("hcp")
+        serial = [gallery.identify([scan]) for scan in probes]
+
+        async def run():
+            requests = _single_probe_requests(probes)
+            first = asyncio.ensure_future(service.identify_async(requests[0]))
+            await _until(probe.started)
+            wave = []
+            for request in requests[1:]:  # one arrival per loop tick
+                wave.append(asyncio.ensure_future(service.identify_async(request)))
+                await asyncio.sleep(0)
+            probe.release.set()
+            return await asyncio.gather(first, *wave)
+
+        responses = asyncio.run(asyncio.wait_for(run(), timeout=30))
+        wave_size = len(probes) - 1
+        assert probe.sizes == [1, wave_size]
+        assert responses[0].batch_size == 1
+        assert {response.batch_size for response in responses[1:]} == {wave_size}
+        for expected, response in zip(serial, responses):
+            assert np.array_equal(expected.similarity, response.match_result.similarity)
+
+    def test_failed_batch_fails_only_its_chunk_and_the_backlog_is_served(
+        self, registry, sessions
+    ):
+        _, probes = sessions
+        service = IdentificationService(
+            registry=registry, config=ServiceConfig(n_features=60, max_batch_size=3)
+        )
+        probe = _BatchProbe(service, hold_first=True, fail_first=True)
+
+        async def run():
+            requests = _single_probe_requests(probes)
+            gathered = [
+                asyncio.ensure_future(service.identify_async(request))
+                for request in requests[:6]
+            ]
+            await _until(probe.started)
+            backlog = [
+                asyncio.ensure_future(service.identify_async(request))
+                for request in requests[6:8]
+            ]
+            await asyncio.sleep(0)
+            probe.release.set()
+            return await asyncio.gather(*gathered, *backlog, return_exceptions=True)
+
+        outcomes = asyncio.run(asyncio.wait_for(run(), timeout=30))
+        assert probe.sizes == [3, 3, 2]
+        assert all(isinstance(outcome, RuntimeError) for outcome in outcomes[:3])
+        assert all(outcome.ok for outcome in outcomes[3:])
+        assert [outcome.batch_size for outcome in outcomes[3:]] == [3, 3, 3, 2, 2]
 
     def test_async_error_requests_resolve_not_hang(self, service, sessions):
         _, probes = sessions
