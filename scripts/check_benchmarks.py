@@ -12,11 +12,7 @@ selected backend, precision outcomes) to PATH — the ``BENCH_backend.json``
 artifact the CI smoke job uploads so speedups can be tracked across
 commits.  ``--http-trajectory PATH`` does the same for the HTTP serving
 benchmark, writing the wire-overhead ratio per codec (JSON vs binary
-frames) to PATH (``BENCH_http.json`` in CI).  ``--index-trajectory PATH``
-runs the candidate-pruning index benchmark and writes its per-size
-speedups, p50/p99 latencies, and top-1 agreement verdict to PATH
-(``BENCH_index.json`` in CI); top-1 agreement is the hard gate, the
-speedups are recorded for trajectory tracking.  ``--router-trajectory
+frames) to PATH (``BENCH_http.json`` in CI).  ``--router-trajectory
 PATH`` runs the gallery-router scaling benchmark and writes the 4-vs-1
 worker aggregate throughput plus the routed bit-identity verdict (IPC and
 both HTTP codecs) to PATH (``BENCH_router.json`` in CI); bit-identity is
@@ -42,7 +38,6 @@ Usage::
     PYTHONPATH=src python scripts/check_benchmarks.py
     PYTHONPATH=src python scripts/check_benchmarks.py --backend-trajectory BENCH_backend.json
     PYTHONPATH=src python scripts/check_benchmarks.py --http-trajectory BENCH_http.json
-    PYTHONPATH=src python scripts/check_benchmarks.py --index-trajectory BENCH_index.json
     PYTHONPATH=src python scripts/check_benchmarks.py --router-trajectory BENCH_router.json
     PYTHONPATH=src python scripts/check_benchmarks.py --chaos-trajectory BENCH_chaos.json
     PYTHONPATH=src python scripts/check_benchmarks.py --fleet-trajectory BENCH_fleet.json
@@ -51,10 +46,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 #: Benchmarks CI depends on (smoke-run directly in the workflow); a rename or
 #: deletion should fail here, not in a YAML file nobody executes locally.
@@ -64,7 +61,6 @@ REQUIRED_BENCHMARKS = {
     "bench_service_batching",
     "bench_backend_matching",
     "bench_http_serving",
-    "bench_index_pruning",
     "bench_router_scaling",
     "bench_chaos_serving",
     "bench_fleet_churn",
@@ -79,146 +75,205 @@ def _benchmarks_on_path() -> Path:
     return benchmarks_dir
 
 
-def write_backend_trajectory(path: Path) -> dict:
-    """Run the backend benchmark and write its trajectory record to ``path``.
+def _recorded(run_name: str) -> Callable[..., dict]:
+    """``run`` for a benchmark whose one run function feeds ``trajectory_record``."""
+    return lambda bench, **kwargs: bench.trajectory_record(
+        getattr(bench, run_name)(**kwargs)
+    )
 
-    Runs the acceptance workload (256-subject x 400-feature gallery, 256
-    probes) — a couple of seconds end to end, and the only scale at which
-    the transport comparison means anything (tiny workloads cannot amortize
-    the one-time segment publish).  The record carries the transport speedup
-    and the selected backend name.
+
+class Trajectory(NamedTuple):
+    """One ``--NAME-trajectory`` flag: the benchmark it runs and its hard gates.
+
+    ``run`` turns the imported benchmark module plus the workload keyword
+    overrides into the trajectory record.  ``overrides`` maps each
+    ``--NAME-OPTION`` smoke-size flag to ``(benchmark keyword, type,
+    metavar, help)``; every override defaults to the acceptance workload.
+    ``summary`` renders the one-line report and ``gate`` lists the record's
+    hard-gate failures (empty when it passes).
+    """
+
+    name: str
+    module: str
+    run: Callable[..., dict]
+    help: str
+    summary: Callable[[dict], str]
+    gate: Callable[[dict], List[str]]
+    overrides: Dict[str, Tuple[str, type, str, str]] = {}
+
+
+def _chaos_summary(record: dict) -> str:
+    totals = record["totals"]
+    return (
+        f"{totals['ok']}/{totals['requests']} bit-identical, "
+        f"error_rate={record['error_rate']:.3f}, respawns={totals['respawns']}, "
+        f"timeouts={totals['worker_timeouts']}, disk_errors={totals['disk_errors']}, "
+        f"p50={record['latency']['p50_ms']:.1f}ms p99={record['latency']['p99_ms']:.1f}ms"
+    )
+
+
+def _fleet_summary(record: dict) -> str:
+    totals = record["totals"]
+    remap = ", ".join(
+        f"{step['action']} {step['remap_fraction']:.3f}/{step['remap_bound']:.3f}"
+        for step in record["steps"]
+    )
+    return (
+        f"{totals['ok']}/{totals['requests']} bit-identical, "
+        f"{totals['errors']} error(s), churn {totals['churn_ok']}+"
+        f"{totals['churn_resends']} resend(s), remap [{remap}], "
+        f"members={len(record['final_members'])}"
+    )
+
+
+def _smoke_sizes(name: str, **extra: Tuple[str, type, str, str]) -> dict:
+    """The gallery/subject overrides the serving benchmarks share, plus ``extra``."""
+    return {
+        "galleries": (
+            "n_galleries", int, "N",
+            f"override the gallery count of --{name}-trajectory (smoke runs)",
+        ),
+        "subjects": (
+            "n_subjects", int, "N",
+            f"override the subjects per gallery of --{name}-trajectory",
+        ),
+        **extra,
+    }
+
+
+#: Every ``--NAME-trajectory`` flag, in the order :func:`main` runs them.
+#: Speedups and overhead ratios are trajectory data only (CI boxes are too
+#: noisy to pin a ratio; the pytest-benchmark tests own those bounds), so
+#: each gate checks correctness alone.  The chaos and fleet gates have no
+#: soft mode: correctness under faults or across a resize is all or nothing.
+TRAJECTORIES: Dict[str, Trajectory] = {
+    spec.name: spec
+    for spec in (
+        Trajectory(
+            "backend",
+            "bench_backend_matching",
+            # The acceptance workload (256-subject x 400-feature gallery)
+            # is the only scale at which the transport comparison means
+            # anything: tiny workloads cannot amortize the segment publish.
+            run=lambda bench: bench.trajectory_record(
+                bench.run_transport_benchmark(), bench.run_precision_benchmark()
+            ),
+            help="run the backend matching benchmark and write its trajectory "
+            "record (speedup + backend name) to PATH",
+            summary=lambda record: (
+                f"backend={record['backend']} "
+                f"transport_speedup={record['speedup']:.2f}x "
+                f"bitwise_equal={record['transport']['bitwise_equal']}"
+            ),
+            gate=lambda record: (
+                [] if record["transport"]["bitwise_equal"]
+                else ["transports disagreed bitwise"]
+            ),
+        ),
+        Trajectory(
+            "http",
+            "bench_http_serving",
+            # The acceptance workload (64 x 100-region gallery, 4 keep-alive
+            # clients) is the only scale at which the <= 5x binary-codec
+            # bound is meaningful.
+            run=_recorded("run_http_benchmark"),
+            help="run the HTTP serving benchmark and write its trajectory "
+            "record (wire-overhead ratio per codec) to PATH",
+            summary=lambda record: (
+                f"json={record['codecs']['json']['overhead']:.1f}x "
+                f"binary={record['codecs']['binary']['overhead']:.1f}x "
+                f"binary_vs_json={record['binary_vs_json_speedup'] or float('nan'):.1f}x "
+                f"bitwise_equal={record['bitwise_equal']}"
+            ),
+            gate=lambda record: [
+                failure
+                for passed, failure in (
+                    (record["bitwise_equal"], "responses diverged from serial identify"),
+                    (record["max_http_batch"] > 1, "pipelined HTTP clients did not coalesce"),
+                )
+                if not passed
+            ],
+        ),
+        Trajectory(
+            "router",
+            "bench_router_scaling",
+            run=_recorded("run_router_benchmark"),
+            help="run the gallery-router scaling benchmark and write its "
+            "trajectory record (4-vs-1 worker throughput, routed bit-identity) "
+            "to PATH",
+            summary=lambda record: (
+                f"speedup={record['speedup']:.2f}x "
+                f"({record['fleet_workers']} workers vs 1) "
+                f"bitwise_equal={record['bitwise_equal']} "
+                f"http_codecs={record['http_codecs']}"
+            ),
+            gate=lambda record: (
+                [] if record["bitwise_equal"]
+                else ["routed responses diverged from single-process serving"]
+            ),
+            overrides=_smoke_sizes("router", requests=(
+                "requests_per_gallery", int, "N",
+                "override the requests per gallery of --router-trajectory",
+            )),
+        ),
+        Trajectory(
+            "chaos",
+            "bench_chaos_serving",
+            run=_recorded("run_chaos_benchmark"),
+            help="run the chaos-churn serving benchmark (phased fault schedule "
+            "under concurrent identify + enroll churn) and write its trajectory "
+            "record (per-phase outcomes, p50/p99, hard-gate verdicts) to PATH",
+            summary=_chaos_summary,
+            gate=lambda record: list(record["gate_failures"]),
+            overrides=_smoke_sizes("chaos", requests=(
+                "requests_per_gallery", int, "N",
+                "override the identify requests per gallery per phase of "
+                "--chaos-trajectory (>= 4 so every fault rule fires)",
+            )),
+        ),
+        Trajectory(
+            "fleet",
+            "bench_fleet_churn",
+            run=_recorded("run_fleet_churn_benchmark"),
+            help="run the fleet-churn benchmark (live 2→3→4→3 membership "
+            "schedule under concurrent identify + enroll load) and write its "
+            "trajectory record (per-step remap fractions, drain outcomes, "
+            "hard-gate verdicts) to PATH",
+            summary=_fleet_summary,
+            gate=lambda record: list(record["gate_failures"]),
+            overrides=_smoke_sizes("fleet", hold=(
+                "hold_s", float, "SECONDS",
+                "override the load hold between membership steps of "
+                "--fleet-trajectory",
+            )),
+        ),
+    )
+}
+
+
+def write_trajectory(spec: Trajectory, path: Path, **overrides) -> dict:
+    """Run ``spec``'s benchmark and write its trajectory record to ``path``.
+
+    ``overrides`` are keyed like the smoke-size flags (``galleries=4`` for
+    ``--router-galleries 4``); ``None`` keeps the acceptance workload.
     """
     _benchmarks_on_path()
-    import bench_backend_matching as bench
-
-    transport = bench.run_transport_benchmark()
-    precision = bench.run_precision_benchmark()
-    record = bench.trajectory_record(transport, precision)
+    bench = importlib.import_module(spec.module)
+    kwargs = {
+        spec.overrides[option][0]: value
+        for option, value in overrides.items()
+        if value is not None
+    }
+    record = spec.run(bench, **kwargs)
     path.write_text(json.dumps(record, indent=2))
     return record
 
 
-def write_http_trajectory(path: Path) -> dict:
-    """Run the HTTP serving benchmark and write its trajectory record.
-
-    Runs the acceptance workload (64-subject x 100-region gallery, one
-    pipelined single-probe request per subject over 4 keep-alive clients)
-    under both wire codecs — the only scale at which the ≤5x binary-codec
-    bound is meaningful.  The record carries the wire-overhead ratio per
-    codec and the binary-vs-JSON speedup.
-    """
-    _benchmarks_on_path()
-    import bench_http_serving as bench
-
-    outcome = bench.run_http_benchmark()
-    record = bench.trajectory_record(outcome)
-    path.write_text(json.dumps(record, indent=2))
-    return record
-
-
-def write_index_trajectory(path: Path, sizes=None) -> dict:
-    """Run the index pruning benchmark and write its trajectory record.
-
-    Runs the acceptance trajectory (1k / 10k / 100k gallery columns) by
-    default; ``sizes`` overrides it for smoke runs.  The record carries the
-    per-size p50/p99 latencies and speedups plus the top-1 agreement
-    verdict — agreement is the hard gate, the speedups are trajectory data
-    (CI boxes are too noisy to pin a ratio here; the pytest-benchmark test
-    owns the >= 5x bound).
-    """
-    _benchmarks_on_path()
-    import bench_index_pruning as bench
-
-    kwargs = {} if sizes is None else {"sizes": tuple(sizes)}
-    outcome = bench.run_pruning_benchmark(**kwargs)
-    record = bench.trajectory_record(outcome)
-    path.write_text(json.dumps(record, indent=2))
-    return record
-
-
-def write_router_trajectory(
-    path: Path, galleries=None, subjects=None, requests=None
-) -> dict:
-    """Run the gallery-router scaling benchmark and write its trajectory.
-
-    Runs the acceptance workload (16 galleries of 96 subjects over a
-    4-gallery-per-worker residency cap, 4 workers vs 1) by default; the
-    keyword overrides shrink it for smoke runs.  The record carries the
-    aggregate warm-throughput speedup and the routed bit-identity verdict
-    (IPC transport plus both HTTP codecs) — bit-identity is the hard gate,
-    the speedup is trajectory data (CI boxes are too noisy to pin a ratio
-    here; the pytest-benchmark test owns the >= 2x acceptance bound).
-    """
-    _benchmarks_on_path()
-    import bench_router_scaling as bench
-
-    kwargs = {}
-    if galleries is not None:
-        kwargs["n_galleries"] = int(galleries)
-    if subjects is not None:
-        kwargs["n_subjects"] = int(subjects)
-    if requests is not None:
-        kwargs["requests_per_gallery"] = int(requests)
-    outcome = bench.run_router_benchmark(**kwargs)
-    record = bench.trajectory_record(outcome)
-    path.write_text(json.dumps(record, indent=2))
-    return record
-
-
-def write_chaos_trajectory(
-    path: Path, galleries=None, subjects=None, requests=None
-) -> dict:
-    """Run the chaos-churn serving benchmark and write its trajectory.
-
-    Runs the full phased fault schedule (crash → hang → corrupt →
-    truncate → cache-I/O) at the acceptance workload by default; the
-    keyword overrides shrink it for smoke runs.  The record carries
-    per-phase outcomes, aggregate p50/p99 latency, and — unlike the other
-    trajectories — a ``gate_failures`` list in which *every* entry is a
-    hard failure: correctness under faults has no soft mode.
-    """
-    _benchmarks_on_path()
-    import bench_chaos_serving as bench
-
-    kwargs = {}
-    if galleries is not None:
-        kwargs["n_galleries"] = int(galleries)
-    if subjects is not None:
-        kwargs["n_subjects"] = int(subjects)
-    if requests is not None:
-        kwargs["requests_per_gallery"] = int(requests)
-    outcome = bench.run_chaos_benchmark(**kwargs)
-    record = bench.trajectory_record(outcome)
-    path.write_text(json.dumps(record, indent=2))
-    return record
-
-
-def write_fleet_trajectory(
-    path: Path, galleries=None, subjects=None, hold=None
-) -> dict:
-    """Run the fleet-churn benchmark and write its trajectory record.
-
-    Runs the live membership schedule (2 → 3 → 4 → 3) under concurrent
-    identify + enroll load at the acceptance workload by default; the
-    keyword overrides shrink it for smoke runs.  The record carries
-    per-step remap fractions and drain outcomes plus a ``gate_failures``
-    list in which *every* entry is a hard failure: correctness across a
-    resize has no soft mode.
-    """
-    _benchmarks_on_path()
-    import bench_fleet_churn as bench
-
-    kwargs = {}
-    if galleries is not None:
-        kwargs["n_galleries"] = int(galleries)
-    if subjects is not None:
-        kwargs["n_subjects"] = int(subjects)
-    if hold is not None:
-        kwargs["hold_s"] = float(hold)
-    outcome = bench.run_fleet_churn_benchmark(**kwargs)
-    record = bench.trajectory_record(outcome)
-    path.write_text(json.dumps(record, indent=2))
-    return record
+write_backend_trajectory = functools.partial(write_trajectory, TRAJECTORIES["backend"])
+write_http_trajectory = functools.partial(write_trajectory, TRAJECTORIES["http"])
+write_router_trajectory = functools.partial(write_trajectory, TRAJECTORIES["router"])
+write_chaos_trajectory = functools.partial(write_trajectory, TRAJECTORIES["chaos"])
+write_fleet_trajectory = functools.partial(write_trajectory, TRAJECTORIES["fleet"])
 
 
 def run_import_checks() -> int:
@@ -249,239 +304,35 @@ def run_import_checks() -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--backend-trajectory", metavar="PATH", default=None,
-        help="run the backend matching benchmark and write its trajectory "
-        "record (speedup + backend name) to PATH",
-    )
-    parser.add_argument(
-        "--http-trajectory", metavar="PATH", default=None,
-        help="run the HTTP serving benchmark and write its trajectory "
-        "record (wire-overhead ratio per codec) to PATH",
-    )
-    parser.add_argument(
-        "--index-trajectory", metavar="PATH", default=None,
-        help="run the candidate-pruning index benchmark and write its "
-        "trajectory record (per-size speedups, p50/p99, top-1 agreement) "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--index-sizes", metavar="N,N,...", default=None,
-        help="override the gallery sizes of --index-trajectory "
-        "(comma-separated; default: the 1k/10k/100k acceptance trajectory)",
-    )
-    parser.add_argument(
-        "--router-trajectory", metavar="PATH", default=None,
-        help="run the gallery-router scaling benchmark and write its "
-        "trajectory record (4-vs-1 worker throughput, routed bit-identity) "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--router-galleries", metavar="N", type=int, default=None,
-        help="override the gallery count of --router-trajectory (smoke runs)",
-    )
-    parser.add_argument(
-        "--router-subjects", metavar="N", type=int, default=None,
-        help="override the subjects per gallery of --router-trajectory",
-    )
-    parser.add_argument(
-        "--router-requests", metavar="N", type=int, default=None,
-        help="override the requests per gallery of --router-trajectory",
-    )
-    parser.add_argument(
-        "--chaos-trajectory", metavar="PATH", default=None,
-        help="run the chaos-churn serving benchmark (phased fault schedule "
-        "under concurrent identify + enroll churn) and write its trajectory "
-        "record (per-phase outcomes, p50/p99, hard-gate verdicts) to PATH",
-    )
-    parser.add_argument(
-        "--chaos-galleries", metavar="N", type=int, default=None,
-        help="override the gallery count of --chaos-trajectory (smoke runs)",
-    )
-    parser.add_argument(
-        "--chaos-subjects", metavar="N", type=int, default=None,
-        help="override the subjects per gallery of --chaos-trajectory",
-    )
-    parser.add_argument(
-        "--chaos-requests", metavar="N", type=int, default=None,
-        help="override the identify requests per gallery per phase of "
-        "--chaos-trajectory (>= 4 so every fault rule fires)",
-    )
-    parser.add_argument(
-        "--fleet-trajectory", metavar="PATH", default=None,
-        help="run the fleet-churn benchmark (live 2→3→4→3 membership "
-        "schedule under concurrent identify + enroll load) and write its "
-        "trajectory record (per-step remap fractions, drain outcomes, "
-        "hard-gate verdicts) to PATH",
-    )
-    parser.add_argument(
-        "--fleet-galleries", metavar="N", type=int, default=None,
-        help="override the gallery count of --fleet-trajectory (smoke runs)",
-    )
-    parser.add_argument(
-        "--fleet-subjects", metavar="N", type=int, default=None,
-        help="override the subjects per gallery of --fleet-trajectory",
-    )
-    parser.add_argument(
-        "--fleet-hold", metavar="SECONDS", type=float, default=None,
-        help="override the load hold between membership steps of "
-        "--fleet-trajectory",
-    )
+    for name, spec in TRAJECTORIES.items():
+        parser.add_argument(
+            f"--{name}-trajectory", metavar="PATH", default=None, help=spec.help
+        )
+        for option, (_, kind, metavar, help_text) in spec.overrides.items():
+            parser.add_argument(
+                f"--{name}-{option}", metavar=metavar, type=kind, default=None,
+                help=help_text,
+            )
     args = parser.parse_args(argv)
 
     if run_import_checks() != 0:
         return 1
 
-    if args.backend_trajectory:
-        record = write_backend_trajectory(Path(args.backend_trajectory))
-        print(
-            "backend trajectory: backend={backend} "
-            "transport_speedup={speedup:.2f}x "
-            "bitwise_equal={equal} -> {path}".format(
-                backend=record["backend"],
-                speedup=record["speedup"],
-                equal=record["transport"]["bitwise_equal"],
-                path=args.backend_trajectory,
-            )
+    for name, spec in TRAJECTORIES.items():
+        path = getattr(args, f"{name}_trajectory")
+        if not path:
+            continue
+        # Looked up by name at call time so a test can stand in for a writer.
+        writer = globals()[f"write_{name}_trajectory"]
+        record = writer(
+            Path(path),
+            **{option: getattr(args, f"{name}_{option}") for option in spec.overrides},
         )
-        if not record["transport"]["bitwise_equal"]:
-            print("FAIL backend trajectory: transports disagreed bitwise")
-            return 1
-
-    if args.http_trajectory:
-        record = write_http_trajectory(Path(args.http_trajectory))
-        codecs = record["codecs"]
-        print(
-            "http trajectory: json={json_oh:.1f}x binary={bin_oh:.1f}x "
-            "binary_vs_json={speedup:.1f}x bitwise_equal={equal} -> {path}".format(
-                json_oh=codecs["json"]["overhead"],
-                bin_oh=codecs["binary"]["overhead"],
-                speedup=record["binary_vs_json_speedup"] or float("nan"),
-                equal=record["bitwise_equal"],
-                path=args.http_trajectory,
-            )
-        )
-        # Correctness is the hard gate here; the overhead ratios are
-        # recorded for trajectory tracking (CI boxes are too noisy to pin).
-        if not record["bitwise_equal"]:
-            print("FAIL http trajectory: responses diverged from serial identify")
-            return 1
-        if record["max_http_batch"] <= 1:
-            print("FAIL http trajectory: pipelined HTTP clients did not coalesce")
-            return 1
-
-    if args.index_trajectory:
-        sizes = None
-        if args.index_sizes:
-            sizes = [int(token) for token in args.index_sizes.split(",") if token]
-        record = write_index_trajectory(Path(args.index_trajectory), sizes=sizes)
-        largest = max(record["entries"], key=lambda entry: entry["n_columns"])
-        print(
-            "index trajectory: speedup_at_max={speedup:.1f}x "
-            "(at {columns} columns, ratio {ratio:.3f}) "
-            "top1_agreement={agreement} -> {path}".format(
-                speedup=record["speedup_at_max"],
-                columns=largest["n_columns"],
-                ratio=largest["pruning_ratio"],
-                agreement=record["top1_agreement"],
-                path=args.index_trajectory,
-            )
-        )
-        # Exactness is the hard gate; the speedup is trajectory data (the
-        # pytest-benchmark test owns the >= 5x acceptance bound).
-        if not record["top1_agreement"]:
-            print("FAIL index trajectory: pruned matching diverged from full scan")
-            return 1
-
-    if args.router_trajectory:
-        record = write_router_trajectory(
-            Path(args.router_trajectory),
-            galleries=args.router_galleries,
-            subjects=args.router_subjects,
-            requests=args.router_requests,
-        )
-        print(
-            "router trajectory: speedup={speedup:.2f}x "
-            "({workers} workers vs 1) bitwise_equal={equal} "
-            "http_codecs={codecs} -> {path}".format(
-                speedup=record["speedup"],
-                workers=record["fleet_workers"],
-                equal=record["bitwise_equal"],
-                codecs=record["http_codecs"],
-                path=args.router_trajectory,
-            )
-        )
-        # Bit-identity is the hard gate; the speedup is trajectory data
-        # (the pytest-benchmark test owns the >= 2x acceptance bound).
-        if not record["bitwise_equal"]:
-            print("FAIL router trajectory: routed responses diverged from single-process serving")
-            return 1
-
-    if args.chaos_trajectory:
-        record = write_chaos_trajectory(
-            Path(args.chaos_trajectory),
-            galleries=args.chaos_galleries,
-            subjects=args.chaos_subjects,
-            requests=args.chaos_requests,
-        )
-        totals = record["totals"]
-        print(
-            "chaos trajectory: {ok}/{requests} bit-identical, "
-            "error_rate={rate:.3f}, respawns={respawns}, "
-            "timeouts={timeouts}, disk_errors={disk}, "
-            "p50={p50:.1f}ms p99={p99:.1f}ms -> {path}".format(
-                ok=totals["ok"],
-                requests=totals["requests"],
-                rate=record["error_rate"],
-                respawns=totals["respawns"],
-                timeouts=totals["worker_timeouts"],
-                disk=totals["disk_errors"],
-                p50=record["latency"]["p50_ms"],
-                p99=record["latency"]["p99_ms"],
-                path=args.chaos_trajectory,
-            )
-        )
-        # Every chaos gate is hard: correctness under faults has no soft mode.
-        if record["gate_failures"]:
-            for failure in record["gate_failures"]:
-                print(f"FAIL chaos trajectory: {failure}")
-            return 1
-
-    if args.fleet_trajectory:
-        record = write_fleet_trajectory(
-            Path(args.fleet_trajectory),
-            galleries=args.fleet_galleries,
-            subjects=args.fleet_subjects,
-            hold=args.fleet_hold,
-        )
-        totals = record["totals"]
-        remap = ", ".join(
-            "{action} {frac:.3f}/{bound:.3f}".format(
-                action=step["action"],
-                frac=step["remap_fraction"],
-                bound=step["remap_bound"],
-            )
-            for step in record["steps"]
-        )
-        print(
-            "fleet trajectory: {ok}/{requests} bit-identical, "
-            "{errors} error(s), churn {churn_ok}+{resends} resend(s), "
-            "remap [{remap}], members={members} -> {path}".format(
-                ok=totals["ok"],
-                requests=totals["requests"],
-                errors=totals["errors"],
-                churn_ok=totals["churn_ok"],
-                resends=totals["churn_resends"],
-                remap=remap,
-                members=len(record["final_members"]),
-                path=args.fleet_trajectory,
-            )
-        )
-        # Every fleet gate is hard: correctness across a resize has no
-        # soft mode.
-        if record["gate_failures"]:
-            for failure in record["gate_failures"]:
-                print(f"FAIL fleet trajectory: {failure}")
+        print(f"{name} trajectory: {spec.summary(record)} -> {path}")
+        failures = spec.gate(record)
+        for failure in failures:
+            print(f"FAIL {name} trajectory: {failure}")
+        if failures:
             return 1
     return 0
 

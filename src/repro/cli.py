@@ -134,20 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build_parser.add_argument("--shard-size", type=_positive_int, default=None)
     build_parser.add_argument("--seed", type=int, default=0)
-    build_parser.add_argument(
-        "--index", action="store_true",
-        help="also fit the candidate-pruning index and save it with the "
-        "gallery (serving opts in with --precision indexed)",
-    )
-    build_parser.add_argument(
-        "--index-rank", type=_positive_int, default=None,
-        help="sketch rank of the pruning index (default: 16)",
-    )
-    build_parser.add_argument(
-        "--index-top-c", type=_positive_int, default=None,
-        help="per-probe candidate budget re-ranked exactly "
-        "(default: max(64, 4*rank))",
-    )
 
     enroll_parser = gallery_sub.add_parser(
         "enroll", help="append newly scanned subjects to a saved gallery"
@@ -275,12 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_backend_arguments(parser) -> None:
     """Shared ``--backend``/``--precision`` policy flags (serving commands)."""
-    from repro.runtime.backend import (
-        AUTO_BACKEND,
-        INDEXED_PRECISION,
-        PRECISIONS,
-        available_backends,
-    )
+    from repro.runtime.backend import AUTO_BACKEND, PRECISIONS, available_backends
 
     parser.add_argument(
         "--backend",
@@ -291,11 +272,10 @@ def _add_backend_arguments(parser) -> None:
     )
     parser.add_argument(
         "--precision",
-        choices=[*PRECISIONS, INDEXED_PRECISION],
+        choices=PRECISIONS,
         default="float64",
         help="matching precision; float32 is opt-in (rank agreement, "
-        "not bit-identity); 'indexed' routes identifies through the "
-        "candidate-pruning index (exact top-1 and margin, sublinear scans)",
+        "not bit-identity)",
     )
 
 
@@ -467,9 +447,6 @@ def _command_gallery_build(args) -> int:
         method=args.method,
         random_state=args.seed,
         shard_size=args.shard_size,
-        index_enabled=args.index,
-        index_rank=args.index_rank,
-        index_top_c=args.index_top_c,
     )
     registry, name = _registry_for(args.dir, config=config)
     try:
@@ -480,12 +457,6 @@ def _command_gallery_build(args) -> int:
             f"{gallery.n_features}/{gallery.reference.n_features} features "
             f"({gallery.method} SVD), saved to {args.dir}"
         )
-        if gallery.index_ is not None:
-            print(
-                f"pruning index: rank={gallery.index_.rank} "
-                f"top_c={gallery.index_.top_c or '(auto)'} "
-                f"method={gallery.index_.method}"
-            )
         print(f"fingerprint: {gallery.fingerprint[:16]}…")
         return 0
     finally:
@@ -556,13 +527,6 @@ def _command_gallery_identify(args) -> int:
             f"{response.n_gallery_subjects} enrolled subjects "
             f"(backend: {gallery.backend})"
         )
-        pruning = service.stats().pruning.get(name)
-        if pruning is not None:
-            print(
-                f"candidates scanned      : {pruning['candidates_scanned']} of "
-                f"{pruning['columns_considered']} gallery columns "
-                f"(pruning ratio {pruning['pruning_ratio']:.3f})"
-            )
         print(f"identification accuracy : {100.0 * response.accuracy:.1f} %")
         margins = response.margins
         print(f"mean confidence margin  : {sum(margins) / len(margins):.3f}")
@@ -595,23 +559,11 @@ def _command_gallery_info(args) -> int:
         print(f"svd backend         : {info['method']} (rank={info['rank']})")
         print(f"matching backend    : {info['backend'] or 'numpy64 (default)'}")
         print(f"shard size          : {info['shard_size'] or '(single block)'}")
-        index = info.get("index")
-        if index is None:
-            print("pruning index       : (none; build with --index or serve "
-                  "--precision indexed)")
-        else:
-            counters = index.get("counters", {})
-            print(
-                f"pruning index       : rank={index['rank']} "
-                f"top_c={index['top_c']} method={index['method']} "
-                f"cumulative ratio={counters.get('pruning_ratio', 0.0):.3f}"
-            )
         print(f"fingerprint         : {info['fingerprint']}")
         print(f"disk cache tier     : {cache_dir if cache_dir is not None else '(memory only)'}")
         _print_cache_kinds(
             gallery.cache,
-            ("gallery", "gallery_norm", "leverage", "svd", "group_matrix",
-             "probe", "index"),
+            ("gallery", "gallery_norm", "leverage", "svd", "group_matrix", "probe"),
         )
         return 0
     finally:

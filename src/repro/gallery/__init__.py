@@ -14,11 +14,8 @@ service-shaped workflow:
     :class:`ReferenceGallery` — the fitted, persistent, incrementally
     growable gallery object serving repeated ``identify`` queries (the
     ``gallery`` artifact kind holds its reduced signature matrix).
-``index``
-    :class:`PruningIndex` — the sublinear candidate-pruning tier (the
-    ``index`` artifact kind holds its sketch): coarse sketched scoring of
-    every column, exact re-ranking of the per-probe top-C survivors, with
-    top-1/top-2 exactness guaranteed by an admissible bound.
+
+Every identify runs the one exact full scan of :func:`match_normalized`.
 """
 
 from repro.gallery.factors import (
@@ -27,7 +24,6 @@ from repro.gallery.factors import (
     fit_principal_features_cached,
     leverage_cache_key,
 )
-from repro.gallery.index import DEFAULT_INDEX_RANK, FILL_VALUE, PruningIndex
 from repro.gallery.matching import (
     match_against_gallery,
     match_normalized,
@@ -53,8 +49,4 @@ __all__ = [
     "similarity_kernel",
     # reference
     "ReferenceGallery",
-    # index
-    "DEFAULT_INDEX_RANK",
-    "FILL_VALUE",
-    "PruningIndex",
 ]

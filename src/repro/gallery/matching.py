@@ -187,8 +187,6 @@ def match_normalized(
     shard_size: Optional[int] = None,
     runner=None,
     backend: BackendLike = None,
-    index=None,
-    index_top_c: Optional[int] = None,
 ) -> np.ndarray:
     """Sharded similarity of pre-normalized columns (the shard-invariant core).
 
@@ -211,25 +209,7 @@ def match_normalized(
        Callers that want to keep writing into the same buffers should pass
        copies — an in-place write after the call raises instead of
        silently corrupting a content key.
-
-    When an ``index`` (a fitted :class:`~repro.gallery.index.PruningIndex`)
-    is given, the call takes the pruned path instead: one coarse sketched
-    pass selects per-probe candidates, the exact backend re-ranks only
-    those columns, and unevaluated entries of the result hold the index's
-    fill sentinel.  Argmax and top-1/top-2 margins are exact by
-    construction (see :mod:`repro.gallery.index`); ``shard_size`` and
-    ``runner`` are ignored on this path because the candidate re-rank is a
-    small fraction of a single shard.
     """
-    if index is not None:
-        return index.match(
-            reference_normalized,
-            probe_normalized,
-            reference_degenerate,
-            probe_degenerate,
-            backend=backend,
-            top_c=index_top_c,
-        )
     resolved = get_backend(backend)
     slices = shard_slices(reference_normalized.shape[1], shard_size)
     if runner is not None and len(slices) > 1:

@@ -46,8 +46,7 @@ from repro.gallery.factors import (
     fit_principal_features_cached,
     leverage_cache_key,
 )
-from repro.gallery.index import DEFAULT_INDEX_RANK, PruningIndex
-from repro.gallery.matching import match_against_gallery, normalize_columns
+from repro.gallery.matching import match_against_gallery
 from repro.linalg.leverage import IncrementalLeverage, PrincipalFeaturesSubspace
 from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import ArtifactCache, get_default_cache
@@ -118,12 +117,6 @@ class ReferenceGallery:
     metadata:
         Free-form JSON-serializable dict persisted alongside the gallery
         (the CLI stores its dataset recipe here).
-    index_rank / index_top_c:
-        When ``index_rank`` is set, a :class:`~repro.gallery.index.PruningIndex`
-        is fitted alongside the gallery (and *re*-fitted on every
-        enroll-driven refit, so it can never serve stale candidates) for
-        the serving layer's opt-in ``precision="indexed"`` tier.
-        ``index_top_c`` overrides the per-probe candidate budget.
 
     Attributes
     ----------
@@ -139,9 +132,6 @@ class ReferenceGallery:
         Enrolls served by the certified incremental update, and ``rank=None``
         exact fits that ran the SVD because the Gram route could not
         certify their selection.
-    index_:
-        The fitted :class:`~repro.gallery.index.PruningIndex`, or ``None``
-        when no index tier was requested.
     """
 
     def __init__(
@@ -157,8 +147,6 @@ class ReferenceGallery:
         runner=None,
         backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        index_rank: Optional[int] = None,
-        index_top_c: Optional[int] = None,
     ):
         check_positive_int(n_features, name="n_features")
         if n_features > reference.n_features:
@@ -193,13 +181,6 @@ class ReferenceGallery:
         self.selector_: Optional[PrincipalFeaturesSubspace] = None
         self.signatures_: Optional[np.ndarray] = None
         self._fingerprint: Optional[str] = None
-        if index_rank is not None:
-            check_positive_int(index_rank, name="index_rank")
-        if index_top_c is not None:
-            check_positive_int(index_top_c, name="index_top_c")
-        self.index_rank = None if index_rank is None else int(index_rank)
-        self.index_top_c = None if index_top_c is None else int(index_top_c)
-        self.index_: Optional[PruningIndex] = None
         self._fit(reference)
 
     # ------------------------------------------------------------------ #
@@ -219,8 +200,6 @@ class ReferenceGallery:
         runner=None,
         backend: Optional[str] = None,
         metadata: Optional[Dict[str, Any]] = None,
-        index_rank: Optional[int] = None,
-        index_top_c: Optional[int] = None,
     ) -> "ReferenceGallery":
         """Build and fit a gallery from reference scans.
 
@@ -244,8 +223,6 @@ class ReferenceGallery:
             runner=runner,
             backend=backend,
             metadata=metadata,
-            index_rank=index_rank,
-            index_top_c=index_top_c,
         )
 
     # ------------------------------------------------------------------ #
@@ -293,70 +270,15 @@ class ReferenceGallery:
     ) -> None:
         """Swap in ``reference`` with its newly fitted state, all or nothing.
 
-        ``incremental`` is the state's update basis, if any.  Any refit
-        invalidates a previously fitted pruning index (the signature matrix,
-        and therefore the sketch, changed), so it is rebuilt here, before
-        anything is assigned: a stale index can never be observed, and a
-        failure leaves the previous state whole.
+        ``incremental`` is the state's update basis, if any.
         """
-        index = None
-        if self.index_rank is not None or self.index_ is not None:
-            index = self._build_index(signatures, key)
         self.reference = reference
         self.selector_ = selector
         self.signatures_ = signatures
         self._fingerprint = key
         self._incremental = incremental
         self._gram_scores = selector.scores_bound_ is not None
-        self.index_ = index
         self.refit_count_ += 1
-
-    def _build_index(self, signatures: np.ndarray, fingerprint: str) -> PruningIndex:
-        """A pruning index over ``signatures`` (the gallery's index parameters)."""
-        rank = self.index_rank
-        if rank is None:
-            rank = (
-                self.index_.rank if self.index_ is not None else DEFAULT_INDEX_RANK
-            )
-        normalized, _ = normalize_columns(signatures)
-        return PruningIndex.fit(
-            normalized,
-            rank=rank,
-            top_c=self.index_top_c,
-            cache=self.cache if self._cacheable else None,
-            fingerprint=fingerprint,
-        )
-
-    def ensure_index(
-        self, rank: Optional[int] = None, top_c: Optional[int] = None
-    ) -> PruningIndex:
-        """The pruning index, fitted (or re-fitted) if absent or stale.
-
-        ``rank``/``top_c`` update the gallery's index parameters when
-        given; a fitted index whose fingerprint still matches the gallery
-        is returned as-is.
-        """
-        if rank is not None:
-            check_positive_int(rank, name="rank")
-            if self.index_rank != int(rank):
-                self.index_rank = int(rank)
-                self.index_ = None
-        if top_c is not None:
-            check_positive_int(top_c, name="top_c")
-            if self.index_top_c != int(top_c):
-                self.index_top_c = int(top_c)
-                self.index_ = None
-        stale = (
-            self.index_ is None
-            or self.index_.sketch_.shape[1] != self.n_subjects
-            or (
-                self.index_.fingerprint is not None
-                and self.index_.fingerprint != self.fingerprint
-            )
-        )
-        if stale:
-            self.index_ = self._build_index(self.signatures_, self.fingerprint)
-        return self.index_
 
     @property
     def _cacheable(self) -> bool:
@@ -575,11 +497,11 @@ class ReferenceGallery:
         """Digest over *every* persisted array plus the fit parameters.
 
         This is what :meth:`load` verifies — unlike :attr:`fingerprint` it
-        also covers the derived arrays (signatures, indices, scores, and
-        the pruning-index arrays when one is persisted), so a corrupted or
-        tampered archive cannot load silently.  Archives without an index
-        or the incremental-scores marker hash exactly as before, keeping
-        older archives loadable.
+        also covers the derived arrays (signatures, indices, scores), so a
+        corrupted or tampered archive cannot load silently.  ``index_arrays``
+        are the candidate-pruning arrays that older archives carry (see
+        :meth:`load`); archives without them or the incremental-scores
+        marker hash exactly as before, keeping older archives loadable.
         """
         parts = [reference, signatures, selected_indices, scores]
         if index_arrays is not None:
@@ -620,23 +542,6 @@ class ReferenceGallery:
             "selected_indices": self.selector_.selected_indices_,
             "leverage_scores": self.selector_.scores_,
         }
-        index_meta = None
-        index_arrays = None
-        if self.index_ is not None:
-            index_arrays = (
-                self.index_.projection_,
-                self.index_.sketch_,
-                self.index_.residual_,
-            )
-            arrays["index_projection"] = self.index_.projection_
-            arrays["index_sketch"] = self.index_.sketch_
-            arrays["index_residual"] = self.index_.residual_
-            index_meta = {
-                "rank": self.index_.rank,
-                "top_c": self.index_.top_c,
-                "method": self.index_.method,
-                "seed": self.index_.seed,
-            }
         meta = {
             "format_version": _FORMAT_VERSION,
             "n_features": self.n_features,
@@ -649,13 +554,11 @@ class ReferenceGallery:
             "tasks": self.reference.tasks,
             "sessions": self.reference.sessions,
             "fingerprint": self.fingerprint,
-            "index": index_meta,
             "integrity": self._integrity_digest(
                 self.reference.data,
                 self.signatures_,
                 self.selector_.selected_indices_,
                 self.selector_.scores_,
-                index_arrays=index_arrays,
                 incremental_scores=self._gram_scores,
             ),
             "metadata": self.metadata,
@@ -684,6 +587,12 @@ class ReferenceGallery:
         leverage scores of rank-``k`` and seeded randomized archives.
         ``rank=None`` scores are never primed: no fit looks them up.
         ``shard_size`` overrides the persisted value when given.
+
+        Older archives also carry the arrays of a candidate-pruning index
+        (named under ``"index"`` in the JSON).  Their digest covers those
+        arrays, so they must be present and are checked like the rest;
+        they are then discarded, and the next :meth:`save` writes an
+        archive without them.
         """
         directory = Path(directory)
         meta_path = directory / _META_FILE
@@ -700,9 +609,8 @@ class ReferenceGallery:
             signatures = archive["signatures"]
             selected_indices = archive["selected_indices"]
             leverage_scores_arr = archive["leverage_scores"]
-            index_meta = meta.get("index")
             index_arrays = None
-            if index_meta is not None:
+            if meta.get("index") is not None:
                 missing = [
                     name
                     for name in ("index_projection", "index_sketch", "index_residual")
@@ -754,9 +662,6 @@ class ReferenceGallery:
         gallery._incremental = None
         gallery._gram_scores = bool(meta.get("incremental_scores", False))
         gallery._fingerprint = None
-        gallery.index_ = None
-        gallery.index_rank = None
-        gallery.index_top_c = None
 
         integrity = gallery._integrity_digest(
             reference_data, signatures, selected_indices, leverage_scores_arr,
@@ -769,19 +674,6 @@ class ReferenceGallery:
                 "(the archive was modified or saved by incompatible parameters)"
             )
         fingerprint = gallery.fingerprint
-        if index_meta is not None:
-            gallery.index_rank = int(index_meta["rank"])
-            gallery.index_top_c = (
-                int(index_meta["top_c"]) if index_meta.get("top_c") is not None else None
-            )
-            gallery.index_ = PruningIndex(
-                *index_arrays,
-                rank=int(index_meta["rank"]),
-                top_c=index_meta.get("top_c"),
-                method=index_meta.get("method", "projection"),
-                seed=int(index_meta.get("seed", 0)),
-                fingerprint=fingerprint,
-            )
         # Prime the cache so post-load enrollment and sibling galleries start
         # warm instead of refactorizing.  Uncacheable fits (randomized SVD
         # without an integer seed) must not be primed: their keys cannot
@@ -821,10 +713,9 @@ class ReferenceGallery:
             "incremental_enrolls": self.incremental_enrolls_,
             "fit_fallbacks": self.fit_fallbacks_,
             "fingerprint": self.fingerprint,
-            "index": None if self.index_ is None else self.index_.describe(),
             "cache": {
                 kind: self.cache.stats(kind).as_dict()
-                for kind in ("gallery", "leverage", "svd", "group_matrix", "index")
+                for kind in ("gallery", "leverage", "svd", "group_matrix")
             },
         }
 

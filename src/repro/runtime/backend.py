@@ -52,14 +52,6 @@ DEFAULT_BACKEND = "numpy64"
 #: Recognized precision policies (what a backend may *declare*).
 PRECISIONS = ("float64", "float32")
 
-#: Serving-level precision selector for the candidate-pruning index tier
-#: (:mod:`repro.gallery.index`).  Not a backend precision — no backend
-#: declares it — but :func:`resolve_backend` accepts it and maps it onto a
-#: bit-exact float64 backend, because the pruned path re-ranks candidates
-#: with the exact kernel and needs its column-subset invariance.  Like
-#: float32 it is strictly opt-in, never a default.
-INDEXED_PRECISION = "indexed"
-
 #: Extra selector accepted wherever a backend name is configured.
 AUTO_BACKEND = "auto"
 
@@ -300,29 +292,10 @@ def resolve_backend(
     * an explicit name (or instance) — used as-is, but it must agree with
       the requested precision; a mismatch is a configuration error rather
       than a silent cast.
-    * ``precision="indexed"`` — the candidate-pruning serving tier.  It is
-      not a backend precision: the exact re-ranking kernel must honour the
-      bit-identity contract, so ``None``/``"auto"`` resolve to the
-      bit-exact default and an explicit backend that is not bit-exact is a
-      configuration error (``numpy32`` under an index would break the
-      admissibility proof, not just the low-order bits).
     """
-    if precision == INDEXED_PRECISION:
-        if name is None or name == AUTO_BACKEND:
-            backend = get_backend(DEFAULT_BACKEND)
-        else:
-            backend = get_backend(name)
-        if not backend.bit_exact:
-            raise ConfigurationError(
-                f"precision='indexed' requires a bit-exact re-ranking backend "
-                f"(column-subset exactness is what makes pruning lossless); "
-                f"got {backend.name!r}"
-            )
-        return backend
     if precision is not None and precision not in PRECISIONS:
         raise ConfigurationError(
-            f"precision must be one of {PRECISIONS + (INDEXED_PRECISION,)}, "
-            f"got {precision!r}"
+            f"precision must be one of {PRECISIONS}, got {precision!r}"
         )
     if isinstance(name, MatchingBackend):
         backend = name

@@ -34,13 +34,11 @@ from repro.runtime.faults import maybe_fire
 PathLike = Union[str, Path]
 
 # Artifact-kind ownership: ``group_matrix`` belongs to the batch layer;
-# ``svd``, ``leverage``, ``gallery``, ``gallery-archive``, and ``index``
-# belong to the gallery subsystem (cached SVD factors, leverage-score
-# vectors, reduced signature matrices, saved-archive integrity digests,
-# and pruning-index sketches — keyed on gallery fingerprint plus index
-# parameters — respectively); ``probe`` and ``gallery_norm`` belong to the
-# serving layer (reduced normalized probe signatures and normalized
-# gallery signatures).
+# ``svd``, ``leverage``, ``gallery`` and ``gallery-archive`` belong to the
+# gallery subsystem (cached SVD factors, leverage-score vectors, reduced
+# signature matrices and saved-archive integrity digests respectively);
+# ``probe`` and ``gallery_norm`` belong to the serving layer (reduced
+# normalized probe signatures and normalized gallery signatures).
 
 #: Default LRU bounds.  The byte budget is the real memory guard; the item
 #: bound exists so metadata-sized artifacts cannot grow the table without

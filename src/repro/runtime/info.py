@@ -85,8 +85,7 @@ def runtime_info(
         Gallery-router fleet shape to report on (``serve --router-workers``);
         0 workers means single-process serving, no router.
     """
-    from repro.gallery.index import DEFAULT_INDEX_RANK, default_top_c
-    from repro.runtime.backend import INDEXED_PRECISION, backend_registry_info
+    from repro.runtime.backend import backend_registry_info
     from repro.runtime.cache import get_default_cache
     from repro.runtime.runner import ExperimentRunner
 
@@ -95,11 +94,6 @@ def runtime_info(
     return {
         "numpy_version": np.__version__,
         "backends": backend_registry_info(),
-        "index": {
-            "precision": INDEXED_PRECISION,
-            "default_rank": DEFAULT_INDEX_RANK,
-            "default_top_c": default_top_c(DEFAULT_INDEX_RANK),
-        },
         "cache": {
             "memory_items": len(cache),
             "max_memory_items": cache.max_memory_items,
@@ -144,14 +138,6 @@ def format_runtime_info(info: Dict[str, Any]) -> str:
             for backend in backends
         )
         lines.append(f"matching backends   : {rendered}")
-    index = info.get("index")
-    if index:
-        lines.append(
-            "pruning index       : "
-            f"precision={index['precision']!r} "
-            f"default_rank={index['default_rank']} "
-            f"default_top_c={index['default_top_c']} (opt-in)"
-        )
     router = info.get("router")
     if router:
         if router["workers"] > 0:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.gallery.index import DEFAULT_INDEX_RANK
-from repro.runtime.backend import INDEXED_PRECISION, PRECISIONS, resolve_backend
+from repro.runtime.backend import PRECISIONS, resolve_backend
 from repro.runtime.cache import (
     DEFAULT_MAX_MEMORY_BYTES as _DEFAULT_MAX_MEMORY_BYTES,
     DEFAULT_MAX_MEMORY_ITEMS as _DEFAULT_MAX_MEMORY_ITEMS,
@@ -161,16 +160,6 @@ class ServiceConfig:
         and soak testing; ``None`` (the default) disables injection
         entirely.  The plan rides through ``to_dict``/``from_dict`` into
         forked router workers like every other knob.
-    index_enabled / index_rank / index_top_c:
-        The candidate-pruning index tier
-        (:class:`~repro.gallery.index.PruningIndex`).  Serving routes
-        identifies through the index only when ``precision="indexed"``
-        (strictly opt-in — the default path never changes bits);
-        ``index_enabled=True`` additionally fits the index at gallery build
-        time so the ``index`` artifact is warm before the precision flips.
-        ``index_rank`` is the sketch rank (``None`` = the gallery's default)
-        and ``index_top_c`` the per-probe candidate budget handed to the
-        exact re-ranking kernel (``None`` = ``max(64, 4 * rank)``).
     """
 
     n_features: int = 100
@@ -209,9 +198,6 @@ class ServiceConfig:
     drain_deadline_s: float = 30.0
     admin_token: Optional[str] = None
     fault_plan: Optional[Dict[str, Any]] = None
-    index_enabled: bool = False
-    index_rank: Optional[int] = None
-    index_top_c: Optional[int] = None
 
     def __post_init__(self):
         if self.n_features < 1:
@@ -232,18 +218,9 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"shard_size must be >= 1 or None, got {self.shard_size}"
             )
-        if self.precision not in PRECISIONS + (INDEXED_PRECISION,):
+        if self.precision not in PRECISIONS:
             raise ConfigurationError(
-                "precision must be one of "
-                f"{PRECISIONS + (INDEXED_PRECISION,)}, got {self.precision!r}"
-            )
-        if self.index_rank is not None and int(self.index_rank) < 1:
-            raise ConfigurationError(
-                f"index_rank must be >= 1 or None, got {self.index_rank}"
-            )
-        if self.index_top_c is not None and int(self.index_top_c) < 1:
-            raise ConfigurationError(
-                f"index_top_c must be >= 1 or None, got {self.index_top_c}"
+                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
             )
         # Resolve eagerly so an unknown backend or a backend/precision
         # mismatch fails at construction, not at serving time.
@@ -381,19 +358,9 @@ class ServiceConfig:
         """The matching-backend name the backend/precision policy selects."""
         return resolve_backend(self.backend, self.precision).name
 
-    @property
-    def index_active(self) -> bool:
-        """Whether this deployment fits (and may serve through) a pruning index.
-
-        ``precision="indexed"`` implies it; ``index_enabled=True`` fits the
-        index at build time without routing identifies through it (useful for
-        pre-building the ``index`` artifact before flipping the precision).
-        """
-        return self.index_enabled or self.precision == INDEXED_PRECISION
-
     def gallery_kwargs(self) -> Dict[str, Any]:
         """Constructor kwargs for a :class:`~repro.gallery.reference.ReferenceGallery`."""
-        kwargs = {
+        return {
             "n_features": self.n_features,
             "rank": self.rank,
             "fisher": self.fisher,
@@ -402,12 +369,6 @@ class ServiceConfig:
             "shard_size": self.shard_size,
             "backend": self.resolved_backend(),
         }
-        if self.index_active:
-            kwargs["index_rank"] = (
-                self.index_rank if self.index_rank is not None else DEFAULT_INDEX_RANK
-            )
-            kwargs["index_top_c"] = self.index_top_c
-        return kwargs
 
     def replace(self, **overrides: Any) -> "ServiceConfig":
         """A copy of this config with the given fields replaced (re-validated)."""

@@ -210,14 +210,13 @@ class WorkerHandle:
 _SUM_FIELDS = ("requests", "probes", "batches", "coalesced_batches", "errors", "batchers")
 
 #: Derived ratios recomputed after merging (summing them would be wrong).
-_DERIVED_KEYS = ("pruning_ratio", "hit_rate", "mean_batch_size")
+_DERIVED_KEYS = ("hit_rate", "mean_batch_size")
 
 
 def _empty_accumulator() -> Dict[str, Any]:
     acc: Dict[str, Any] = {field: 0 for field in _SUM_FIELDS}
     acc["max_batch_size"] = 0
     acc["galleries"] = {}
-    acc["pruning"] = {}
     acc["cache_kinds"] = {}
     return acc
 
@@ -231,13 +230,12 @@ def _merge_record(acc: Dict[str, Any], record: Optional[Dict[str, Any]]) -> None
     acc["max_batch_size"] = max(acc["max_batch_size"], int(record.get("max_batch_size", 0)))
     for name, count in (record.get("galleries") or {}).items():
         acc["galleries"][name] = acc["galleries"].get(name, 0) + int(count)
-    for group in ("pruning", "cache_kinds"):
-        for name, counters in (record.get(group) or {}).items():
-            entry = acc[group].setdefault(name, {})
-            for key, value in counters.items():
-                if key in _DERIVED_KEYS:
-                    continue
-                entry[key] = entry.get(key, 0) + value
+    for kind, counters in (record.get("cache_kinds") or {}).items():
+        entry = acc["cache_kinds"].setdefault(kind, {})
+        for key, value in counters.items():
+            if key in _DERIVED_KEYS:
+                continue
+            entry[key] = entry.get(key, 0) + value
 
 
 def _empty_worker_carried() -> Dict[str, int]:

@@ -327,13 +327,6 @@ class ServiceStats:
         fresh, never-warm batcher) per burst.
     galleries:
         Per-gallery identify-request counters.
-    pruning:
-        Per-gallery candidate-pruning counters, present only for galleries
-        served through the indexed tier (``precision="indexed"``):
-        ``candidates_scanned`` (columns the exact kernel re-ranked),
-        ``columns_considered`` (columns a full scan would have touched),
-        ``full_scans_avoided`` (their difference) and the derived
-        ``pruning_ratio``.
     cache_kinds:
         Per-artifact-kind cache counters (hits/misses/disk hits), so an
         operator can verify the service is actually running warm.
@@ -354,7 +347,6 @@ class ServiceStats:
     errors: int = 0
     batchers: int = 0
     galleries: Dict[str, int] = field(default_factory=dict)
-    pruning: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache_kinds: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cache_dir: Optional[str] = None
     router: Optional[Dict[str, Any]] = None
@@ -378,9 +370,6 @@ class ServiceStats:
             "errors": int(self.errors),
             "batchers": int(self.batchers),
             "galleries": dict(self.galleries),
-            "pruning": {
-                name: dict(counters) for name, counters in self.pruning.items()
-            },
             "cache_kinds": {
                 kind: dict(stats) for kind, stats in self.cache_kinds.items()
             },
@@ -400,10 +389,6 @@ class ServiceStats:
             errors=int(payload.get("errors", 0)),
             batchers=int(payload.get("batchers", 0)),
             galleries=dict(payload.get("galleries", {})),
-            pruning={
-                name: dict(counters)
-                for name, counters in payload.get("pruning", {}).items()
-            },
             cache_kinds={
                 kind: dict(stats)
                 for kind, stats in payload.get("cache_kinds", {}).items()
@@ -433,14 +418,6 @@ class ServiceStats:
                 f"{self.router.get('workers', 0)} workers alive, "
                 f"ring size {self.router.get('ring_size', 0)}, "
                 f"{self.router.get('respawns', 0)} respawn(s)"
-            )
-        for name in sorted(self.pruning):
-            counters = self.pruning[name]
-            lines.append(
-                f"  - pruning[{name}]: "
-                f"scanned={counters.get('candidates_scanned', 0):.0f} "
-                f"avoided={counters.get('full_scans_avoided', 0):.0f} "
-                f"ratio={counters.get('pruning_ratio', 0.0):.3f}"
             )
         for kind in sorted(self.cache_kinds):
             stats = self.cache_kinds[kind]

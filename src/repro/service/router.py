@@ -507,17 +507,6 @@ class GalleryRouter:
 
     def _merged_stats(self, records: Dict[str, Dict[str, Any]]) -> ServiceStats:
         acc = self.fleet.accumulate(records)
-        pruning = {
-            name: {
-                **entry,
-                "pruning_ratio": (
-                    1.0 - entry.get("candidates_scanned", 0) / entry["columns_considered"]
-                    if entry.get("columns_considered")
-                    else 0.0
-                ),
-            }
-            for name, entry in acc["pruning"].items()
-        }
         cache_kinds = {}
         for kind, entry in acc["cache_kinds"].items():
             lookups = entry.get("hits", 0) + entry.get("misses", 0)
@@ -542,7 +531,6 @@ class GalleryRouter:
             errors=acc["errors"],
             batchers=acc["batchers"],
             galleries=dict(acc["galleries"]),
-            pruning=pruning,
             cache_kinds=cache_kinds,
             cache_dir=cache_dir,
         )

@@ -43,7 +43,6 @@ from repro.attack.matching import MatchResult, prepare_match_inputs
 from repro.exceptions import ReproError, ValidationError
 from repro.gallery.matching import match_normalized, normalize_columns
 from repro.gallery.reference import ReferenceGallery
-from repro.runtime.backend import INDEXED_PRECISION
 from repro.runtime.batch import build_group_matrix_batched
 from repro.runtime.cache import frozen_array_digest
 from repro.runtime.faults import FaultPlan, install_plan
@@ -107,10 +106,6 @@ class IdentificationService:
         self._max_batch_size = 0
         self._errors = 0
         self._per_gallery: Dict[str, int] = {}
-        #: Per-gallery pruning-index counters (``precision="indexed"`` only):
-        #: cumulative deltas of candidates scanned vs full-scan columns,
-        #: accumulated per stacked batch under the stats lock.
-        self._pruning: Dict[str, Dict[str, int]] = {}
         #: One micro-batcher per event loop (an asyncio future is bound to
         #: the loop that created it, so batch state cannot be shared across
         #: loops).  Keyed weakly: a dead loop drops its batcher.
@@ -246,17 +241,6 @@ class IdentificationService:
                     1 for loop in self._batchers if not loop.is_closed()
                 ),
                 galleries=dict(self._per_gallery),
-                pruning={
-                    name: {
-                        **entry,
-                        "pruning_ratio": (
-                            1.0 - entry["candidates_scanned"] / entry["columns_considered"]
-                            if entry["columns_considered"]
-                            else 0.0
-                        ),
-                    }
-                    for name, entry in self._pruning.items()
-                },
             )
         snapshot.cache_kinds = self.cache.stats_by_kind()
         snapshot.cache_dir = (
@@ -324,19 +308,6 @@ class IdentificationService:
                     stacked = np.hstack([sig[0] for _, _, sig in served])
                     stacked_mask = np.concatenate([sig[1] for _, _, sig in served])
                     ref_normalized, ref_degenerate = self._reference_normalization(gallery)
-                    # The indexed tier is strictly opt-in: one coarse pass
-                    # scores the whole stacked batch and only the surviving
-                    # candidate columns reach the exact kernel.  Top-1 and
-                    # the top-1/top-2 margin are exact by the index's
-                    # admissible bound, so predictions and margins below are
-                    # bit-identical to the full scan.
-                    index = None
-                    if self.config.precision == INDEXED_PRECISION:
-                        index = gallery.ensure_index(
-                            rank=self.config.index_rank,
-                            top_c=self.config.index_top_c,
-                        )
-                        pruning_before = index.counters()
                     similarity = match_normalized(
                         ref_normalized,
                         stacked,
@@ -345,11 +316,7 @@ class IdentificationService:
                         shard_size=gallery.shard_size,
                         runner=gallery.runner,
                         backend=gallery.backend,
-                        index=index,
-                        index_top_c=self.config.index_top_c,
                     )
-                    if index is not None:
-                        self._record_pruning(name, pruning_before, index.counters())
                     predictions = np.argmax(similarity, axis=0)
                     margins = _stacked_margins(similarity)
                 offset = 0
@@ -416,23 +383,6 @@ class IdentificationService:
             self._max_batch_size = max(self._max_batch_size, batch_size)
             self._errors += errors
             self._per_gallery[name] = self._per_gallery.get(name, 0) + len(responses)
-
-    def _record_pruning(
-        self, name: str, before: Dict[str, Any], after: Dict[str, Any]
-    ) -> None:
-        """Accumulate one batch's pruning-counter delta for ``name``.
-
-        Deltas (not raw index counters) are recorded because an
-        enroll-driven refit replaces the index object and resets its
-        counters — the service totals must survive that.
-        """
-        with self._stats_lock:
-            entry = self._pruning.setdefault(
-                name,
-                {"candidates_scanned": 0, "columns_considered": 0, "full_scans_avoided": 0},
-            )
-            for key in ("candidates_scanned", "columns_considered", "full_scans_avoided"):
-                entry[key] += int(after[key]) - int(before[key])
 
     # ------------------------------------------------------------------ #
     # Probe / reference preparation

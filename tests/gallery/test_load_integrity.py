@@ -8,11 +8,14 @@ poisoned arrays.
 """
 
 import json
+import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.datasets.hcp import HCPLikeDataset
 from repro.exceptions import ValidationError
 from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
@@ -196,3 +199,76 @@ class TestCrashSafeSave:
         (stray / ".gallery.json.1.2.tmp").write_bytes(b"{")
         registry = GalleryRegistry(root=tmp_path, cache=ArtifactCache())
         assert registry.names() == [directory.name]
+
+
+#: A gallery saved when archives could also carry a candidate-pruning index:
+#: 8 subjects of ``HCPLikeDataset(n_subjects=12, n_regions=32,
+#: n_timepoints=80, random_state=7)``, REST LR day 1, ``n_features=24``,
+#: with an index of rank 4 (arrays ``index_projection``/``index_sketch``/
+#: ``index_residual``, JSON entry ``"index"``).
+LEGACY_INDEXED_GALLERY = Path(__file__).parent / "data" / "legacy_indexed_gallery"
+_INDEX_ARRAYS = ("index_projection", "index_sketch", "index_residual")
+
+
+@pytest.fixture()
+def legacy_indexed(tmp_path):
+    """A writable copy of the index-bearing archive."""
+    return Path(shutil.copytree(LEGACY_INDEXED_GALLERY, tmp_path / "legacy"))
+
+
+def _rewrite_archive(directory, edit):
+    """Apply ``edit`` to the archive's arrays (a name -> array dict) in place."""
+    archive = directory / "gallery.npz"
+    with np.load(archive) as data:
+        arrays = {key: data[key].copy() for key in data.files}
+    edit(arrays)
+    np.savez(archive, **arrays)
+
+
+def _flip_first_byte(arrays, name):
+    arrays[name].reshape(-1).view(np.uint8)[0] ^= 0x01
+
+
+class TestLegacyIndexArchive:
+    """Archives that still carry pruning-index arrays load, and their digest
+    still covers those arrays."""
+
+    def test_loads_with_the_archived_signatures_and_selection(self, legacy_indexed):
+        loaded = ReferenceGallery.load(legacy_indexed, cache=ArtifactCache())
+        with np.load(legacy_indexed / "gallery.npz") as data:
+            assert set(_INDEX_ARRAYS) <= set(data.files)
+            assert np.array_equal(loaded.signatures_, data["signatures"])
+            assert np.array_equal(
+                loaded.selector_.selected_indices_, data["selected_indices"]
+            )
+        assert loaded.n_subjects == 8
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda arrays: _flip_first_byte(arrays, "index_sketch"),
+            lambda arrays: arrays.pop("index_residual"),
+        ],
+        ids=["flipped-index-sketch-byte", "deleted-index-residual"],
+    )
+    def test_tampered_index_arrays_fail_integrity(self, legacy_indexed, tamper):
+        _rewrite_archive(legacy_indexed, tamper)
+        with pytest.raises(ValidationError, match="integrity"):
+            ReferenceGallery.load(legacy_indexed, cache=ArtifactCache())
+
+    def test_enroll_and_save_write_an_archive_without_the_index(
+        self, legacy_indexed, tmp_path
+    ):
+        cohort = HCPLikeDataset(
+            n_subjects=12, n_regions=32, n_timepoints=80, random_state=7
+        )
+        gallery = ReferenceGallery.load(legacy_indexed, cache=ArtifactCache())
+        assert gallery.enroll(cohort.generate_session("REST", encoding="LR", day=1)[8:]) == 4
+        directory = gallery.save(tmp_path / "saved")
+        with np.load(directory / "gallery.npz") as data:
+            assert not set(_INDEX_ARRAYS) & set(data.files)
+        assert "index" not in json.loads((directory / "gallery.json").read_text())
+        loaded = ReferenceGallery.load(directory, cache=ArtifactCache())
+        assert loaded.n_subjects == 12
+        assert loaded.fingerprint == gallery.fingerprint
+        assert np.array_equal(loaded.signatures_, gallery.signatures_)

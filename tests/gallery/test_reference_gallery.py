@@ -355,9 +355,7 @@ class TestIntrospection:
         assert info["n_subjects"] == rest_pair["reference"].n_scans
         assert info["n_features_selected"] == 40
         assert info["refit_count"] == 1
-        assert set(info["cache"]) == {
-            "gallery", "leverage", "svd", "group_matrix", "index",
-        }
+        assert set(info["cache"]) == {"gallery", "leverage", "svd", "group_matrix"}
 
     def test_signature_region_pairs(self, small_hcp, rest_pair):
         gallery = ReferenceGallery(

@@ -124,6 +124,8 @@ class TestPrecisionPolicy:
     def test_unknown_precision_rejected(self):
         with pytest.raises(ConfigurationError, match="precision"):
             resolve_backend(None, "float16")
+        with pytest.raises(ConfigurationError, match="precision"):
+            resolve_backend(None, "indexed")
 
 
 class TestNumpy64BitIdentity:
@@ -357,6 +359,8 @@ class TestGalleryAndServicePlumbing:
             ServiceConfig(backend="numpy64", precision="float32")
         with pytest.raises(ConfigurationError):
             ServiceConfig(backend="warp-drive")
+        with pytest.raises(ConfigurationError, match="precision must be one of"):
+            ServiceConfig(precision="indexed")
 
     def test_service_config_round_trips_backend_fields(self):
         from repro.service import ServiceConfig

@@ -163,38 +163,6 @@ class TestHttpEnrollStatsHealth:
         stats = client.stats()
         assert stats.requests >= 1
         assert stats.galleries.get("hcp", 0) >= 1
-        assert stats.pruning == {}  # default precision: no index, no counters
-
-    def test_stats_expose_pruning_counters_for_indexed_precision(self, sessions):
-        """GET /stats carries per-gallery pruning counters when serving
-        under ``precision="indexed"`` — and only then."""
-        reference_scans, probe_scans = sessions
-        config = ServiceConfig(
-            n_features=60,
-            batch_window_s=0.01,
-            precision="indexed",
-            index_rank=6,
-            index_top_c=4,
-        )
-        registry = GalleryRegistry(config=config, cache=ArtifactCache())
-        registry.build("hcp", reference_scans)
-        service = IdentificationService(registry=registry, config=config)
-        try:
-            with BackgroundHttpServer(service, port=0) as background:
-                with ServiceClient(port=background.port) as indexed_client:
-                    response = indexed_client.identify(
-                        gallery="hcp", scans=probe_scans[:3]
-                    )
-                    assert response.ok
-                    stats = indexed_client.stats()
-        finally:
-            service.close()
-        pruning = stats.pruning["hcp"]
-        assert pruning["columns_considered"] >= pruning["candidates_scanned"] > 0
-        assert pruning["full_scans_avoided"] == (
-            pruning["columns_considered"] - pruning["candidates_scanned"]
-        )
-        assert 0.0 <= pruning["pruning_ratio"] <= 1.0
 
 
 class TestHttpErrorMapping:

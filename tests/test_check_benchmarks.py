@@ -1,9 +1,7 @@
 """The benchmark check script stays wired to the modules CI smoke-runs.
 
 Mirrors the CI benchmark-smoke steps (``scripts/check_benchmarks.py``) at
-test scale: every benchmark module must import, the ``--index-trajectory``
-flag must run the pruning benchmark, write a well-formed ``BENCH_index.json``
-record, and hard-gate on top-1 agreement, and the ``--router-trajectory``
+test scale: every benchmark module must import, the ``--router-trajectory``
 flag must run the router scaling benchmark, write ``BENCH_router.json``,
 and hard-gate on routed bit-identity, and the ``--fleet-trajectory`` flag
 must run the fleet-churn benchmark, write ``BENCH_fleet.json``, and
@@ -36,59 +34,8 @@ def test_required_benchmarks_exist(check_benchmarks):
     benchmarks_dir = REPO_ROOT / "benchmarks"
     for name in check_benchmarks.REQUIRED_BENCHMARKS:
         assert (benchmarks_dir / f"{name}.py").is_file(), f"{name}.py is missing"
-    assert "bench_index_pruning" in check_benchmarks.REQUIRED_BENCHMARKS
     assert "bench_router_scaling" in check_benchmarks.REQUIRED_BENCHMARKS
     assert "bench_fleet_churn" in check_benchmarks.REQUIRED_BENCHMARKS
-
-
-def test_index_trajectory_flag_writes_record(check_benchmarks, tmp_path, capsys, monkeypatch):
-    """``--index-trajectory`` runs the benchmark and writes the record.
-
-    A small size sweep keeps the test fast; the record shape is the same
-    one CI uploads as ``BENCH_index.json``.  The import-check pass is
-    skipped: it rebinds ``conftest`` under pytest (the benchmarks' conftest
-    collides with the test suite's), and it has its own coverage in CI.
-    """
-    monkeypatch.setattr(check_benchmarks, "run_import_checks", lambda: 0)
-    path = tmp_path / "BENCH_index.json"
-    exit_code = check_benchmarks.main(
-        ["--index-trajectory", str(path), "--index-sizes", "200,600"]
-    )
-    output = capsys.readouterr().out
-    assert exit_code == 0, output
-    assert "index trajectory:" in output
-    record = json.loads(path.read_text())
-    assert record["benchmark"] == "index_pruning"
-    assert record["workload"]["sizes"] == [200, 600]
-    assert record["top1_agreement"] is True
-    assert len(record["entries"]) == 2
-    for entry in record["entries"]:
-        assert entry["top1_agreement"] is True
-        assert entry["pruned"]["p50_ms"] > 0
-        assert entry["pruned"]["p99_ms"] >= entry["pruned"]["p50_ms"]
-        assert entry["full"]["p99_ms"] >= entry["full"]["p50_ms"]
-        assert 0.0 <= entry["pruning_ratio"] <= 1.0
-
-
-def test_index_trajectory_gates_on_agreement(check_benchmarks, tmp_path, capsys, monkeypatch):
-    """A divergent pruned result must fail the check, not just be recorded."""
-    def broken(path, sizes=None):
-        record = {
-            "benchmark": "index_pruning",
-            "entries": [
-                {"n_columns": 100, "pruning_ratio": 0.5, "top1_agreement": False}
-            ],
-            "speedup_at_max": 10.0,
-            "top1_agreement": False,
-        }
-        path.write_text(json.dumps(record))
-        return record
-
-    monkeypatch.setattr(check_benchmarks, "run_import_checks", lambda: 0)
-    monkeypatch.setattr(check_benchmarks, "write_index_trajectory", broken)
-    exit_code = check_benchmarks.main(["--index-trajectory", str(tmp_path / "b.json")])
-    assert exit_code == 1
-    assert "FAIL index trajectory" in capsys.readouterr().out
 
 
 def test_router_trajectory_flag_writes_record(

@@ -598,3 +598,15 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--dir", "gal", "--precision", "indexed"],
+            ["gallery", "build", "--dir", "gal", "--index"],
+        ],
+    )
+    def test_removed_index_options_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
