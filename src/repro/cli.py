@@ -675,10 +675,9 @@ def _serve_rounds(service, name, args) -> int:
     if routed:
         # The router never loads galleries in this process; the persisted
         # metadata on disk carries the dataset recipe.
-        import json as _json
+        from repro.gallery.reference import ReferenceGallery
 
-        meta_path = Path(service.root) / name / "gallery.json"
-        saved = _json.loads(meta_path.read_text())
+        saved = ReferenceGallery.saved_document(Path(service.root) / name)
         recipe = (saved.get("metadata") or {}).get("dataset")
         backend_label = service.config.backend or "numpy64 (default)"
     else:

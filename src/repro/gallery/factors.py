@@ -188,9 +188,10 @@ def cached_leverage_scores(
     cached ``svd`` factors instead of refactorizing.
 
     With ``n_features`` (``rank=None`` exact fits only) the Gram-route kernel
-    runs first and the result is the pair ``(scores, bound)``: the kernel's
-    scores and bound when they certify the top-``n_features`` order, with no
-    cache key, lookup or put; otherwise the SVD's scores as above and
+    runs first and the result is the pair ``(scores, state)``: the kernel's
+    scores and its :class:`~repro.linalg.leverage.IncrementalLeverage` state
+    (bound and factor) when they certify the top-``n_features`` order, with
+    no cache key, lookup or put; otherwise the SVD's scores as above and
     ``None``.
     """
     a = check_matrix(data, name="data")
@@ -200,7 +201,7 @@ def cached_leverage_scores(
         raise ValidationError("n_features applies to rank=None exact fits only")
     state = IncrementalLeverage.fit(a)
     if state is not None and state.certified_order(n_features) is not None:
-        return state.scores, state.bound
+        return state.scores, state
     return _svd_leverage_scores(a, None, method, random_state, cache), None
 
 
@@ -243,11 +244,12 @@ def fit_principal_features_cached(
     Equivalent to ``PrincipalFeaturesSubspace(...).fit(data)`` — the same
     selected indices in the same order.  With a cache, ``rank=None`` exact
     fits take their scores from the certified Gram route and record its
-    bound in ``scores_bound_``; when the route cannot certify, they take the
-    SVD's scores and leave ``scores_bound_`` as ``None``.  Rank-``k`` and
-    randomized fits get the same scores and ``argsort`` tie-breaking as the
-    direct fit, from the cache, so two selectors with different
-    ``n_features`` over the same data share one factorization.
+    bound in ``scores_bound_`` and its factor in ``factor_``; when the
+    route cannot certify, they take the SVD's scores and leave both
+    ``None``.  Rank-``k`` and randomized fits get the same scores and
+    ``argsort`` tie-breaking as the direct fit, from the cache, so two
+    selectors with different ``n_features`` over the same data share one
+    factorization.
     """
     a = check_matrix(data, name="data")
     n_features = check_positive_int(n_features, name="n_features")
@@ -261,9 +263,9 @@ def fit_principal_features_cached(
     if cache is None:
         return selector.fit(a)
     if rank is None and method == "exact":
-        scores, selector.scores_bound_ = cached_leverage_scores(
-            a, cache=cache, n_features=n_features
-        )
+        scores, state = cached_leverage_scores(a, cache=cache, n_features=n_features)
+        if state is not None:
+            selector.scores_bound_, selector.factor_ = state.bound, state.factor
     else:
         scores = cached_leverage_scores(
             a, rank=rank, method=method, random_state=random_state, cache=cache

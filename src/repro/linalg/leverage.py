@@ -139,6 +139,10 @@ class PrincipalFeaturesSubspace:
         Bound on ``|scores_ - SVD scores|`` when the scores came from the
         certified Gram route (:class:`IncrementalLeverage`) rather than the
         SVD; ``None`` when no such bound was recorded, as after :meth:`fit`.
+    factor_:
+        The Gram route's inverse factor ``X`` (its basis is ``A X``), from
+        which an incremental update can rebuild the basis; ``None`` when the
+        scores did not come from the Gram route.
     """
 
     n_features: int
@@ -148,6 +152,7 @@ class PrincipalFeaturesSubspace:
     scores_: Optional[np.ndarray] = field(default=None, repr=False)
     selected_indices_: Optional[np.ndarray] = field(default=None, repr=False)
     scores_bound_: Optional[float] = field(default=None, repr=False)
+    factor_: Optional[np.ndarray] = field(default=None, repr=False)
 
     def fit(self, matrix: np.ndarray) -> "PrincipalFeaturesSubspace":
         """Compute leverage scores of ``matrix`` and choose the top features."""
@@ -235,14 +240,22 @@ class IncrementalLeverage:
         Squared row norms of ``basis``.
     bound:
         The score-error bound.
+    factor:
+        ``(n_columns, n_columns)`` upper-triangular factor ``X`` with
+        ``basis ≈ A X`` for the matrix ``A`` of every column so far.  It is
+        small enough to persist, and :meth:`fit` rebuilds the basis from it
+        with one product.
     """
 
     basis: np.ndarray
     scores: np.ndarray
     bound: float
+    factor: np.ndarray
 
     @classmethod
-    def fit(cls, matrix: np.ndarray) -> Optional["IncrementalLeverage"]:
+    def fit(
+        cls, matrix: np.ndarray, factor: Optional[np.ndarray] = None
+    ) -> Optional["IncrementalLeverage"]:
         """Orthonormalize the columns of ``matrix`` in one Cholesky pass, with a measured bound.
 
         A pass is a Gram product, a Cholesky factorization ``L Lᵀ`` and a
@@ -252,6 +265,12 @@ class IncrementalLeverage:
         still shrink the bound (CholeskyQR2, Fukaya et al. 2014).  Returns
         ``None`` for a failed factorization, a non-finite value, ``δ ≥ ½`` or
         a condition number that may exceed :data:`MAX_BASIS_CONDITION`.
+
+        ``factor`` (an earlier state's :attr:`factor` for the same matrix)
+        takes the place of the first pass's ``L⁻ᵀ``: the first pass is then
+        one product ``A X`` and no Gram product of ``A``.  Everything below
+        is measured for the ``X`` used, so a stale or damaged factor can
+        cost a second pass or a ``None``, never a wrong bound.
 
         The bound uses measured quantities only.  Let ``Q`` be the computed
         basis (rows ``qᵢ``), ``X`` the product of the inverse factors used,
@@ -289,22 +308,34 @@ class IncrementalLeverage:
         a = check_matrix(matrix, name="matrix")
         n_rows, n_columns = a.shape
         gamma_n = _gamma(n_columns)
-        basis, gram, error, scale = a, a.T @ a, 0.0, 1.0
-        norm_a = np.sqrt(np.trace(gram))
+        if factor is None:
+            gram = a.T @ a
+            squared = float(np.trace(gram))
+        else:
+            squared = float(np.linalg.norm(a)) ** 2
+        basis, product, error, scale = a, None, 0.0, 1.0
+        norm_a = np.sqrt(squared)
         for _ in range(2):
-            try:
-                # An explicit inverse keeps every BLAS call in numpy's
-                # OpenBLAS: scipy links a second one, and alternating their
-                # thread pools is slower.
-                inverse = np.linalg.inv(np.linalg.cholesky(gram)).T
-            except np.linalg.LinAlgError:
-                return None
+            if product is None and factor is not None:
+                inverse = np.asarray(factor, dtype=np.float64)
+            else:
+                try:
+                    # An explicit inverse keeps every BLAS call in numpy's
+                    # OpenBLAS: scipy links a second one, and alternating
+                    # their thread pools is slower.
+                    inverse = np.linalg.inv(np.linalg.cholesky(gram)).T
+                except np.linalg.LinAlgError:
+                    return None
             norm = np.linalg.norm(inverse)
-            error = (error + gamma_n * np.sqrt(np.trace(gram))) * norm
+            error = (error + gamma_n * np.sqrt(squared)) * norm
             scale *= norm
-            basis = basis @ inverse
+            # Column-major, like the basis ``append`` grows: a row-major
+            # result would cost ``append`` a transposing copy.
+            basis = np.matmul(basis, inverse, order="F")
+            product = inverse if product is None else product @ inverse
             gram = basis.T @ basis
-            rounding = _gamma(n_rows) * float(np.trace(gram))
+            squared = float(np.trace(gram))
+            rounding = _gamma(n_rows) * squared
             loss = float(np.linalg.norm(gram - np.eye(n_columns)))
             if not loss > rounding:
                 break
@@ -317,7 +348,7 @@ class IncrementalLeverage:
         scores = np.einsum("ij,ij->i", basis, basis)
         top = float(scores.max()) / (1.0 - gamma_n)
         bound = top * (delta / (1.0 - delta) + gamma_n) + error / np.sqrt(1.0 - delta)
-        return cls(basis=basis, scores=scores, bound=float(bound))
+        return cls(basis=basis, scores=scores, bound=float(bound), factor=product)
 
     def append(self, columns: np.ndarray) -> Optional["IncrementalLeverage"]:
         """The state after appending ``columns``; ``None`` if one is dependent.
@@ -326,18 +357,24 @@ class IncrementalLeverage:
         reorthogonalization pass).  The bound grows by the measured loss of
         orthogonality of the new direction and by the rounding error of the
         residual relative to its length, which is large when the column
-        nearly lies in the basis's span.
+        nearly lies in the basis's span.  The factor grows by the same
+        coefficients: ``q = (a − Q c)/‖r‖`` gives ``q = [A a]·[−X c; 1]/‖r‖``.
         """
         columns = np.asarray(columns, dtype=np.float64)
         n_rows, width = self.basis.shape
-        basis = np.empty((n_rows, width + columns.shape[1]), order="F")
+        total = width + columns.shape[1]
+        basis = np.empty((n_rows, total), order="F")
         basis[:, :width] = self.basis
+        factor = np.zeros((total, total))
+        factor[:width, :width] = self.factor
         scores, bound = self.scores, self.bound
         for offset, column in enumerate(columns.T):
             m = width + offset
             previous = basis[:, :m]
-            residual = column - previous @ (previous.T @ column)
-            residual -= previous @ (previous.T @ residual)
+            coefficients = previous.T @ column
+            residual = column - previous @ coefficients
+            correction = previous.T @ residual
+            residual -= previous @ correction
             length, size = float(np.linalg.norm(residual)), float(np.linalg.norm(column))
             if not length > DEPENDENT_RESIDUAL * size:
                 return None
@@ -346,7 +383,9 @@ class IncrementalLeverage:
             bound += m * loss + _EPS * (n_rows + m) * size / length
             scores = scores + q * q
             basis[:, m] = q
-        return IncrementalLeverage(basis=basis, scores=scores, bound=bound)
+            factor[:m, m] = factor[:m, :m] @ (coefficients + correction) / -length
+            factor[m, m] = 1.0 / length
+        return IncrementalLeverage(basis=basis, scores=scores, bound=bound, factor=factor)
 
     def certified_order(self, n_features: int) -> Optional[np.ndarray]:
         """The top ``n_features`` rows by score, or ``None`` if the order is uncertain.

@@ -65,10 +65,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ValidationError
+from repro.gallery.reference import ReferenceGallery
 from repro.runtime.shm import SEGMENT_PREFIX
 from repro.service.config import ServiceConfig
 from repro.service.codec import FrameError
-from repro.service.registry import _GALLERY_META_FILE
 from repro.service.resilience import BreakerRegistry, ResiliencePolicy
 from repro.service.worker import recv_message, send_message, worker_main
 
@@ -262,7 +262,7 @@ class GalleryRootView:
         return sorted(
             path.name
             for path in self._root.iterdir()
-            if path.is_dir() and (path / _GALLERY_META_FILE).exists()
+            if path.is_dir() and ReferenceGallery.is_saved(path)
         )
 
     def __contains__(self, name: str) -> bool:
@@ -270,7 +270,7 @@ class GalleryRootView:
             return False
         if name in (".", ".."):
             return False
-        return (self._root / name / _GALLERY_META_FILE).exists()
+        return ReferenceGallery.is_saved(self._root / name)
 
     def __len__(self) -> int:
         return len(self.names())

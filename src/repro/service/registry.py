@@ -37,10 +37,6 @@ from repro.service.config import ServiceConfig
 
 PathLike = Union[str, Path]
 
-#: Metadata file marking a directory as a persisted gallery.
-_GALLERY_META_FILE = "gallery.json"
-
-
 def _check_name(name: Any) -> str:
     """Reject names that are empty or would escape the registry root."""
     if not isinstance(name, str) or not name:
@@ -143,7 +139,7 @@ class GalleryRegistry:
             known = set(self._galleries)
         if self.root is not None and self.root.exists():
             for path in self.root.iterdir():
-                if path.is_dir() and (path / _GALLERY_META_FILE).exists():
+                if path.is_dir() and ReferenceGallery.is_saved(path):
                     known.add(path.name)
         return sorted(known)
 
@@ -161,7 +157,7 @@ class GalleryRegistry:
         if self.root is None:
             return None
         directory = self.root / name
-        if (directory / _GALLERY_META_FILE).exists():
+        if ReferenceGallery.is_saved(directory):
             return directory
         return None
 

@@ -85,7 +85,9 @@ class TestCachedLeverageScores:
 
     def test_n_features_takes_the_gram_route_without_keys(self, tall_matrix):
         cache = ArtifactCache()
-        scores, bound = cached_leverage_scores(tall_matrix, cache=cache, n_features=5)
+        scores, state = cached_leverage_scores(tall_matrix, cache=cache, n_features=5)
+        assert state.scores is scores
+        bound = state.bound
         assert 0.0 < bound < 1e-10
         assert np.max(np.abs(scores - leverage_scores(tall_matrix))) <= bound
         for kind in ("leverage", "svd"):
@@ -96,8 +98,8 @@ class TestCachedLeverageScores:
         # one, so the tie is inside the certified order.
         tied = np.vstack([tall_matrix[:1], tall_matrix])
         cache = ArtifactCache()
-        scores, bound = cached_leverage_scores(tied, cache=cache, n_features=tied.shape[0] - 1)
-        assert bound is None
+        scores, state = cached_leverage_scores(tied, cache=cache, n_features=tied.shape[0] - 1)
+        assert state is None
         assert np.array_equal(scores, leverage_scores(tied))
         assert cache.stats("leverage").misses == 1
 

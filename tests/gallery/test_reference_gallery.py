@@ -1,5 +1,8 @@
 """Tests for the persistent ReferenceGallery: fit-once, persistence, enroll."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,48 @@ def _count_keys(monkeypatch):
 
     monkeypatch.setattr(ArtifactCache, "key", counting_key)
     return kinds
+
+
+def _count_hashed_bytes(monkeypatch):
+    """A one-element list counting every byte fed to SHA-256 from now on."""
+    hashed = [0]
+    sha256 = hashlib.sha256
+
+    class Counting:
+        def __init__(self, inner):
+            self._inner = inner
+
+        def update(self, data):
+            hashed[0] += memoryview(data).nbytes
+            self._inner.update(data)
+
+        def copy(self):
+            return Counting(self._inner.copy())
+
+        def digest(self):
+            return self._inner.digest()
+
+        def hexdigest(self):
+            return self._inner.hexdigest()
+
+    def counting(data=b""):
+        digest = Counting(sha256())
+        digest.update(data)
+        return digest
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return hashed
+
+
+def _small_array_bytes(gallery):
+    """Bytes of every saved array but the reference."""
+    selector = gallery.selector_
+    return (
+        gallery.signatures_.nbytes
+        + 8 * selector.selected_indices_.size
+        + selector.scores_.nbytes
+        + selector.factor_.nbytes
+    )
 
 
 @pytest.fixture()
@@ -226,17 +271,13 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "tampered", ["reference", "signatures", "selected_indices", "leverage_scores"]
     )
-    def test_tampered_arrays_rejected(self, sessions, tmp_path, tampered):
+    def test_tampered_arrays_rejected(self, sessions, tmp_path, tampered, archive_file):
         reference_scans, _ = sessions
         gallery = ReferenceGallery.from_scans(
             reference_scans, n_features=40, cache=ArtifactCache()
         )
         gallery.save(tmp_path / "gal")
-        archive = tmp_path / "gal" / "gallery.npz"
-        with np.load(archive) as data:
-            arrays = {name: data[name] for name in data.files}
-        arrays[tampered] = arrays[tampered] + 1
-        np.savez_compressed(archive, **arrays)
+        archive_file(tmp_path / "gal").flip(tampered, at=3)
         with pytest.raises(ValidationError, match="integrity"):
             ReferenceGallery.load(tmp_path / "gal", cache=ArtifactCache())
 
@@ -303,6 +344,36 @@ class TestEnrollment:
         assert gallery.refit_count_ == 3
         assert gallery.enroll(reference_scans[10:]) == 0
         assert gallery.refit_count_ == 3
+
+    def test_load_enroll_and_save_hash_each_byte_once(self, sessions, tmp_path, monkeypatch):
+        # A load hashes each array region once, the reference included, plus
+        # the JSON document for the integrity digest; an enroll and a save
+        # hash the added column, the new scan's key material and the small
+        # arrays, never the reference again.
+        reference_scans, _ = sessions
+        ReferenceGallery.from_scans(
+            reference_scans[:10], n_features=60, cache=ArtifactCache()
+        ).save(tmp_path / "gal")
+        archive_bytes = (tmp_path / "gal" / "gallery.bin").stat().st_size
+        hashed = _count_hashed_bytes(monkeypatch)
+        gallery = ReferenceGallery.load(tmp_path / "gal", cache=ArtifactCache())
+        reference = gallery.reference.data.nbytes
+        arrays = reference + _small_array_bytes(gallery)
+        document_bytes = len(
+            json.dumps(ReferenceGallery.saved_document(tmp_path / "gal")).encode()
+        )
+        assert arrays + document_bytes <= hashed[0] < arrays + document_bytes + 1024
+        assert archive_bytes >= arrays + document_bytes
+
+        hashed[0] = 0
+        scan = reference_scans[10]
+        assert gallery.enroll([scan]) == 1
+        gallery.save(tmp_path / "gal")
+        column = gallery.reference.n_features * 8
+        small = _small_array_bytes(gallery)
+        assert column + small <= hashed[0]
+        assert hashed[0] < column + small + scan.timeseries.nbytes + 2 * document_bytes + 2048
+        assert hashed[0] < reference
 
     def test_enroll_is_atomic_when_the_fit_raises(self, sessions, monkeypatch):
         reference_scans, probe_scans = sessions

@@ -20,6 +20,7 @@ import pytest
 
 from repro.datasets.hcp import HCPLikeDataset
 from repro.exceptions import ValidationError
+from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
 from repro.service import (
     BackgroundHttpServer,
@@ -381,7 +382,7 @@ class TestDrainUnderLoad:
         # The promised resend path actually works and persists.
         retry = router.enroll(request)
         assert retry.ok and retry.created
-        assert (workload["root"] / "racing-enroll" / "gallery.json").exists()
+        assert ReferenceGallery.is_saved(workload["root"] / "racing-enroll")
 
     def test_identify_reroutes_silently_after_a_removal(self, router, workload):
         """An identify that raced the commit re-routes to a survivor and

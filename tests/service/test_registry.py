@@ -65,7 +65,7 @@ class TestPersistence:
         gallery = registry.build("site-a", reference_scans)
         expected = gallery.identify(probe_scans)
         registry.persist("site-a")
-        assert (tmp_path / "site-a" / "gallery.json").exists()
+        assert (tmp_path / "site-a" / "gallery.bin").exists()
 
         assert registry.evict("site-a")
         assert "site-a" in registry  # still on disk
@@ -88,7 +88,7 @@ class TestPersistence:
         with pytest.raises(ValidationError, match="root"):
             registry.persist("hcp")
         registry.persist("hcp", tmp_path / "explicit")
-        assert (tmp_path / "explicit" / "gallery.npz").exists()
+        assert (tmp_path / "explicit" / "gallery.bin").exists()
 
     def test_load_all_restores_every_persisted_gallery(self, tmp_path, sessions):
         registry = GalleryRegistry(root=tmp_path, cache=ArtifactCache())

@@ -23,6 +23,7 @@ import pytest
 
 from repro.datasets.hcp import HCPLikeDataset
 from repro.exceptions import ValidationError
+from repro.gallery.reference import ReferenceGallery
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.shm import SEGMENT_PREFIX
 from repro.service import (
@@ -174,7 +175,7 @@ class TestEnroll:
         )
         assert response.ok and response.created
         # Persisted before the ack: the shared root is already authoritative.
-        assert (workload["root"] / "freshly-routed" / "gallery.json").exists()
+        assert ReferenceGallery.is_saved(workload["root"] / "freshly-routed")
         assert "freshly-routed" in router.registry
         probe = dataset.generate_session("REST", encoding="RL", day=2)[:1]
         identified = router.identify(

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.gallery.reference import ReferenceGallery
+from repro.runtime.cache import ArtifactCache
 
 
 def _shm_segments():
@@ -106,8 +108,7 @@ class TestGalleryCommand:
     def test_build_saves_a_gallery(self, tmp_path, capsys):
         output = self._build(tmp_path, capsys)
         assert "built gallery: 8 subjects" in output
-        assert (tmp_path / "gal" / "gallery.npz").exists()
-        assert (tmp_path / "gal" / "gallery.json").exists()
+        assert sorted(path.name for path in (tmp_path / "gal").iterdir()) == ["gallery.bin"]
 
     def test_identify_reports_accuracy_and_cache(self, tmp_path, capsys):
         self._build(tmp_path, capsys)
@@ -168,10 +169,9 @@ class TestServeCommand:
 
     def _drop_recipe(self, gallery_dir):
         """Strip the dataset recipe from a saved gallery's metadata."""
-        meta_path = gallery_dir / "gallery.json"
-        meta = json.loads(meta_path.read_text())
-        meta["metadata"].pop("dataset", None)
-        meta_path.write_text(json.dumps(meta, indent=2))
+        gallery = ReferenceGallery.load(gallery_dir, cache=ArtifactCache())
+        gallery.metadata.pop("dataset", None)
+        gallery.save(gallery_dir)
 
     def test_serve_rounds_reuse_one_event_loop_and_coalesce(self, tmp_path, capsys):
         gallery_dir = self._build(tmp_path, capsys)
